@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NoConvergenceError
-from .linalg import lu_factor
+from .linalg import LUFactorization
 
 
 def _cheb_coefficients(values):
@@ -153,11 +153,6 @@ class ChebyshevOperator:
         return sp.csr_matrix(A)
 
 
-def build_chebyshev_operator(problem, fixed_axis, fixed_value, tol=1e-13,
-                             max_degree=64):
-    return ChebyshevOperator(problem, fixed_axis, fixed_value, tol, max_degree)
-
-
 class CompanionPencil:
     """Implicit pencil (K, M) of the Chebyshev system plus the shifted
     inverse (K - sigma M)^{-1} realized with one LU of P(sigma).
@@ -185,7 +180,7 @@ class CompanionPencil:
         self.taus = np.array(taus[: self.d + 1])
         # alpha_i = T_{i-1}(sigma/c), i = 1..d: recurrence scalars of the solve
         self.alphas = self.taus[: self.d]
-        self.lu = lu_factor(operator.evaluate(self.sigma))
+        self.lu = LUFactorization(operator.evaluate(self.sigma))
 
     @property
     def block_size(self):

@@ -10,8 +10,9 @@ class SingularMatrixError(ParamRomError):
 
 
 class SingularShiftError(ParamRomError):
-    """A shifted tridiagonal solve broke down, typically because the
-    evaluation point coincides with a Ritz value of the reduced system."""
+    """The projected shifted system I - (mu - sigma) H_k of a Krylov sweep
+    is singular: the evaluation point mu makes 1 / (mu - sigma) a Ritz
+    value of the reduced system."""
 
 
 class OutOfRangeError(ParamRomError, ValueError):
@@ -29,15 +30,6 @@ class NoConvergenceError(ParamRomError):
         super().__init__(message)
         self.partial = partial
         self.detail = detail or {}
-
-
-class BreakdownError(ParamRomError):
-    """Two-sided Lanczos breakdown: the dual/primal candidate vectors became
-    numerically orthogonal. ``step`` is the iteration index at which it died."""
-
-    def __init__(self, message, step):
-        super().__init__(message)
-        self.step = step
 
 
 class AnchorOffGridError(ParamRomError, ValueError):

@@ -1,12 +1,17 @@
-"""Shifted two-sided Lanczos solver: one basis answers every parameter value
-on a line.
+"""Shift-invert Arnoldi (FOM) solver: one basis answers every parameter
+value on a line.
 
 A sweep fixes one parameter, builds the companion pencil of the Chebyshev
-approximation along the free axis, and runs two-sided Lanczos on
-B = M (K - sigma M)^{-1} started from the stacked right-hand side. Every
-free-axis value mu is then recovered from a k x k shifted tridiagonal
-solve plus one application of the stored LU, so one factorization serves
-the whole line.
+approximation along the free axis and factors P(sigma) once. With
+S = (K - sigma M)^{-1} M and u0 = (K - sigma M)^{-1} c, the pencil system
+(K - mu M) u = c reads (I - (mu - sigma) S) u = u0, and the Krylov space
+of S from u0 does not depend on mu. Arnoldi with full orthogonalization
+builds its orthonormal basis V_k and Hessenberg matrix H_k at one solve
+pair per step, k + 1 per line with u0; a value mu then costs a k x k solve
+of (I - (mu - sigma) H_k) y = beta e_1 and the first block of V_k y, and no
+solve. The paper uses BiCG instead: its two-sided Lanczos process needs
+transposed solves for a dual sequence and breaks down when the dual and
+primal vectors turn orthogonal, as it did on sim3 lines.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebyshev import ChebyshevOperator, CompanionPencil
-from .errors import BreakdownError, NoConvergenceError, SingularShiftError
-from .linalg import solve_shifted_tridiagonal
+from .errors import NoConvergenceError, SingularShiftError
 
 
 def default_sigma(interval):
@@ -29,207 +33,129 @@ def default_sigma(interval):
 
 
 class ShiftedKrylov:
-    """Two-sided Lanczos state for B = M (K - sigma M)^{-1}.
+    """Shift-invert Arnoldi state for S = (K - sigma M)^{-1} M started from
+    u0 = (K - sigma M)^{-1} (0, ..., 0, b).
 
-    Columns of the primal basis are unit-norm; the dual basis is scaled so
-    that W^T V = I. The Lanczos relation
-        B V_k = V_k T_k + beta_k v_{k+1} e_k^T
-    holds to rounding by construction, which makes the cheap residual
-    identity in residual_estimate exact for the preconditioned system
-    (I + (sigma - mu) B) xhat = c.
+    Basis vectors are orthonormal (classical Gram-Schmidt run twice) and are
+    stored as the rows of a buffer that doubles when full. The Arnoldi
+    relation
+        S V_k = V_k H_k + h_{k+1,k} v_{k+1} e_k^T
+    holds to rounding by construction, which makes the cheap residual in
+    residual_estimate exact for the shift-inverted system.
     """
 
-    def __init__(self, pencil, b, dual_perturbation=None,
-                 tolerate_breakdown=False):
+    def __init__(self, pencil, b):
         self.pencil = pencil
         self.b = np.asarray(b, dtype=np.float64)
-        self.beta = float(np.linalg.norm(self.b))
-        self.tolerate_breakdown = tolerate_breakdown
-        self.near_breakdowns = 0
+        u0 = pencil.solve(pencil.stack_rhs(self.b))
+        self.beta = float(np.linalg.norm(u0))
         if self.beta == 0.0:
             raise ValueError("right-hand side must be nonzero")
-        c = pencil.stack_rhs(self.b)
-        v1 = c / self.beta
-        w1 = v1.copy()
-        if dual_perturbation is not None:
-            rng = np.random.default_rng(dual_perturbation)
-            w1 = w1 + 1e-8 * rng.standard_normal(w1.shape[0])
-            w1 /= w1 @ v1
-        dim = pencil.block_size
-        self._V = np.empty((dim, 16))
-        self._W = np.empty((dim, 16))
-        self._V[:, 0] = v1
-        self._W[:, 0] = w1
-        self.k = 0                      # completed Lanczos steps
-        self.diag = []                  # T_k diagonal
-        self.sub = []                   # T_k subdiagonal (beta coefficients)
-        self.sup = []                   # T_k superdiagonal
-        self.beta_next = None           # beta_k of the Lanczos relation
+        self._V = np.empty((16, pencil.block_size))
+        self._H = np.zeros((17, 16))
+        self._V[0] = u0 / self.beta
+        self.k = 0                      # completed Arnoldi steps
         self.exhausted = False          # happy breakdown: invariant subspace
 
-    def _ensure_capacity(self, k):
-        if k >= self._V.shape[1]:
-            grow = max(2 * self._V.shape[1], k + 1)
-            for name in ("_V", "_W"):
-                old = getattr(self, name)
-                new = np.empty((old.shape[0], grow))
-                new[:, : old.shape[1]] = old
-                setattr(self, name, new)
+    def _double_capacity(self):
+        cap = self._V.shape[0]
+        V = np.empty((2 * cap, self._V.shape[1]))
+        V[:cap] = self._V
+        H = np.zeros((2 * cap + 1, 2 * cap))
+        H[: cap + 1, :cap] = self._H
+        self._V, self._H = V, H
 
     @property
     def basis(self):
-        """Primal basis V_k (dim x k)."""
-        return self._V[:, : self.k]
-
-    @property
-    def dual_basis(self):
-        return self._W[:, : self.k]
+        """V_k (block_size x k)."""
+        return self._V[: self.k].T
 
     @property
     def next_vector(self):
-        """Unit candidate v_{k+1} of the Lanczos relation."""
-        return self._V[:, self.k]
+        """Unit vector v_{k+1} of the Arnoldi relation."""
+        return self._V[self.k]
+
+    @property
+    def hessenberg(self):
+        """(k+1) x k Hessenberg matrix of the Arnoldi relation."""
+        return self._H[: self.k + 1, : self.k]
 
     def apply_operator(self, u):
-        """B u = M (K - sigma M)^{-1} u."""
-        return self.pencil.apply_M(self.pencil.solve(u))
-
-    def apply_operator_transpose(self, u):
-        return self.pencil.solve(self.pencil.apply_M(u, transpose=True),
-                                 transpose=True)
+        """S u = (K - sigma M)^{-1} M u."""
+        return self.pencil.solve(self.pencil.apply_M(u))
 
     def grow(self, steps):
-        """Advance the recurrence by ``steps`` Lanczos iterations.
-
-        Each step costs one shifted solve plus one M-apply for the primal
-        direction and the transposed pair for the dual one. Raises
-        BreakdownError on serious breakdown (caller may retry with a
-        perturbed dual start); a happy breakdown (invariant subspace)
-        just marks the state exhausted.
+        """Advance the recurrence by ``steps`` Arnoldi iterations, one
+        shifted solve pair each. A happy breakdown (invariant subspace)
+        marks the state exhausted; the projected solutions are then exact.
         """
         for _ in range(steps):
             if self.exhausted:
                 return self
             j = self.k
-            v = self._V[:, j]
-            w = self._W[:, j]
-            Bv = self.apply_operator(v)
-            Btw = self.apply_operator_transpose(w)
-            alpha = float(w @ Bv)
-            vhat = Bv - alpha * v
-            what = Btw - alpha * w
-            if j > 0:
-                vhat -= self.sup[j - 1] * self._V[:, j - 1]
-                what -= self.sub[j - 1] * self._W[:, j - 1]
-            beta_new = float(np.linalg.norm(vhat))
-            self.diag.append(alpha)
-            if beta_new < 1e-14 * max(abs(alpha), 1.0):
-                self.k += 1
-                self.beta_next = 0.0
+            if j + 1 == self._V.shape[0]:
+                self._double_capacity()
+            w = self.apply_operator(self._V[j])
+            scale = float(np.linalg.norm(w))
+            V = self._V[: j + 1]
+            h = V @ w
+            w -= h @ V
+            correction = V @ w
+            w -= correction @ V
+            h += correction
+            h_next = float(np.linalg.norm(w))
+            self._H[: j + 1, j] = h
+            self._H[j + 1, j] = h_next
+            self.k += 1
+            if h_next <= 1e-14 * scale:
+                self._H[j + 1, j] = 0.0
                 self.exhausted = True
                 return self
-            vnew = vhat / beta_new
-            omega = float(what @ vnew)
-            if abs(omega) < 1e-12 * float(np.linalg.norm(what)):
-                # Candidate pair nearly orthogonal. The primal three-term
-                # relation (all that the shifted evaluations rely on) stays
-                # machine-exact either way, so a tolerant state pushes
-                # through with inflated dual vectors instead of dying;
-                # end-of-sweep residual verification guards the results.
-                if not self.tolerate_breakdown or omega == 0.0:
-                    self.diag.pop()
-                    raise BreakdownError(
-                        "two-sided Lanczos breakdown (|w^T v| below 1e-12 scale)",
-                        step=j + 1,
-                    )
-                self.near_breakdowns += 1
-            self._ensure_capacity(j + 1)
-            self._V[:, j + 1] = vnew
-            self._W[:, j + 1] = what / omega
-            self.sub.append(beta_new)
-            self.sup.append(omega)
-            self.k += 1
-            self.beta_next = beta_new
+            self._V[j + 1] = w / h_next
         return self
 
     def _reduced_solution(self, mu):
         if self.k < 1:
             raise ValueError("grow the subspace before evaluating")
+        A = np.eye(self.k) - (mu - self.pencil.sigma) * self._H[: self.k, : self.k]
         rhs = np.zeros(self.k)
         rhs[0] = self.beta
-        return solve_shifted_tridiagonal(
-            self.diag, self.sub[: self.k - 1], self.sup[: self.k - 1],
-            self.sigma_minus(mu), rhs,
-        )
-
-    def sigma_minus(self, mu):
-        return self.pencil.sigma - mu
+        try:
+            return np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularShiftError(
+                "I - (mu - sigma) H_k is singular at mu=%g (k=%d)" % (mu, self.k)
+            ) from exc
 
     def evaluate(self, mu):
-        """Approximate solution of the original n x n system at mu.
+        """Approximate solution of the original n x n system at mu: the
+        first block of V_k y, with no solve.
 
         mu == sigma is permitted (the reduced system becomes the identity
-        and the result is the preconditioner-exact solution); a warning is
-        emitted since the shift was presumably chosen to avoid sample
-        points.
+        and the result is the first block of u0, the exact pencil
+        solution); a warning is emitted since the shift was presumably
+        chosen to avoid sample points.
         """
         if mu == self.pencil.sigma:
             warnings.warn("evaluating exactly at the shift sigma", stacklevel=2)
         y = self._reduced_solution(mu)
-        z = self.basis @ y
-        u = self.pencil.solve(z)
-        return u[: self.pencil.n]
+        return y @ self._V[: self.k, : self.pencil.n]
 
     def residual_estimate(self, mu):
-        """Relative residual of the preconditioned system at mu, computed
-        from the Lanczos relation: |sigma - mu| * beta_k * |e_k^T y| / beta
-        (the candidate vector is unit norm)."""
-        if self.exhausted and self.beta_next == 0.0:
-            return 0.0
+        """Relative residual of the shift-inverted system at mu, from the
+        Arnoldi relation: |mu - sigma| * h_{k+1,k} * |e_k^T y| / beta."""
         y = self._reduced_solution(mu)
-        return abs(self.sigma_minus(mu)) * self.beta_next * abs(y[-1]) / self.beta
+        h_next = self._H[self.k, self.k - 1]
+        return abs(mu - self.pencil.sigma) * h_next * abs(y[-1]) / self.beta
 
     def explicit_residual(self, mu):
-        """||c - (I + (sigma - mu) B) V_k y|| / beta, the residual the cheap
-        estimate reproduces; costs one extra operator application."""
+        """||u0 - (I - (mu - sigma) S) V_k y|| / beta, the residual the cheap
+        estimate reproduces; costs one extra solve pair."""
         y = self._reduced_solution(mu)
-        xk = self.basis @ y
-        c = self.pencil.stack_rhs(self.b)
-        r = c - xk - self.sigma_minus(mu) * self.apply_operator(xk)
+        u = y @ self._V[: self.k]
+        r = (self.beta * self._V[0] - u
+             + (mu - self.pencil.sigma) * self.apply_operator(u))
         return float(np.linalg.norm(r)) / self.beta
-
-    def biorthogonality_drift(self):
-        """Biorthogonality loss diagnostic, on demand.
-
-        Dual columns are scaled so W^T V = I, which makes their norms grow
-        as Ritz values converge; raw entries of W^T V - I then blow up
-        mechanically without harming the recurrence. The returned drift is
-        therefore angle-normalized: max |(W^T V - I)_ij| / ||w_i|| with
-        unit-norm v_j, i.e. the worst cosine leakage between the bases.
-        """
-        if self.k == 0:
-            return 0.0
-        G = self.dual_basis.T @ self.basis
-        norms = np.linalg.norm(self.dual_basis, axis=0)
-        leak = np.abs(G - np.eye(self.k)) / norms[:, None]
-        return float(leak.max())
-
-    def lanczos_relation_residual(self):
-        """max abs residual of B V_k = V_k T_k + beta_k v_{k+1} e_k^T;
-        holds to rounding by construction (on-demand check)."""
-        if self.k == 0:
-            return 0.0
-        V = self.basis
-        BV = np.column_stack([self.apply_operator(V[:, j]) for j in range(self.k)])
-        T = np.zeros((self.k, self.k))
-        T[np.diag_indices(self.k)] = self.diag
-        for j in range(self.k - 1):
-            T[j + 1, j] = self.sub[j]
-            T[j, j + 1] = self.sup[j]
-        rel = BV - V @ T
-        if not self.exhausted:
-            rel[:, -1] -= self.beta_next * self.next_vector
-        return float(np.abs(rel).max())
 
 
 @dataclass
@@ -256,17 +182,18 @@ class SnapshotLine:
 
 def snapshot_sweep(problem, fixed_axis, fixed_value, free_values, sigma=None,
                    tol=1e-8, k_max=300, check_every=1, cheb_tol=1e-13,
-                   drift_tol=1e-3, verify_residual=True):
+                   verify_residual=True):
     """Generate all snapshots on one parameter line from a single Krylov
-    recurrence (exactly one LU factorization).
+    basis (exactly one LU factorization).
 
     Grows the subspace until the cheap residual estimate is below ``tol``
     for every requested value (checked every ``check_every`` steps; the
-    checks are O(k) per value, so per-step checking costs nothing and
-    avoids post-convergence steps that only degrade biorthogonality) or
-    k_max is reached, then materializes the solutions. Raises
-    NoConvergenceError (with the partial SnapshotLine attached) when some
-    values remain above tolerance at k_max.
+    checks are k x k solves, so per-step checking costs little and avoids
+    steps past convergence) or k_max is reached, then materializes the
+    solutions. Raises NoConvergenceError (with the partial SnapshotLine
+    attached) when some values remain above tolerance at k_max, and
+    SingularShiftError when the projected system at some value is
+    singular.
     """
     free_values = np.asarray(free_values, dtype=np.float64)
     (a1, b1), (a2, b2) = problem.box
@@ -278,43 +205,15 @@ def snapshot_sweep(problem, fixed_axis, fixed_value, free_values, sigma=None,
 
     operator = ChebyshevOperator(problem, fixed_axis, fixed_value, tol=cheb_tol)
     pencil = CompanionPencil(operator, sigma)
-
-    state = ShiftedKrylov(pencil, problem.b)
-    try:
-        state = _grow_until(state, free_values, tol, k_max, check_every)
-    except BreakdownError as exc:
-        warnings.warn(
-            "Lanczos breakdown at step %d; retrying with perturbed dual start"
-            % exc.step, stacklevel=2,
-        )
-        try:
-            state = ShiftedKrylov(pencil, problem.b, dual_perturbation=exc.step)
-            state = _grow_until(state, free_values, tol, k_max, check_every)
-        except BreakdownError as exc2:
-            warnings.warn(
-                "Lanczos breakdown again at step %d; continuing with a "
-                "breakdown-tolerant recurrence" % exc2.step, stacklevel=2,
-            )
-            state = ShiftedKrylov(pencil, problem.b, tolerate_breakdown=True)
-            state = _grow_until(state, free_values, tol, k_max, check_every)
+    state = _grow_until(ShiftedKrylov(pencil, problem.b), free_values, tol,
+                        k_max, check_every)
 
     residuals = np.array([state.residual_estimate(mu) for mu in free_values])
-    snaps = np.empty((free_values.shape[0], problem.n))
-    for i, mu in enumerate(free_values):
-        try:
-            snaps[i] = state.evaluate(mu)
-        except SingularShiftError:
-            nudge = 1e-12 * (hi - lo)
-            snaps[i] = state.evaluate(mu + nudge)
+    snaps = np.array([state.evaluate(mu) for mu in free_values])
     converged = residuals < tol
-
-    drift = state.biorthogonality_drift()
-    if drift > drift_tol:
-        warnings.warn("biorthogonality drift %.2e above %.1e" % (drift, drift_tol),
-                      stacklevel=2)
     if verify_residual and residuals.size:
-        # One extra operator application: confirm the cheap estimate against
-        # the explicitly computed preconditioned residual at the worst value.
+        # One extra solve pair: confirm the cheap estimate against the
+        # explicitly computed residual at the worst value.
         worst = int(np.argmax(residuals))
         explicit = state.explicit_residual(free_values[worst])
         if abs(explicit - residuals[worst]) > 100.0 * tol:
@@ -334,9 +233,7 @@ def snapshot_sweep(problem, fixed_axis, fixed_value, free_values, sigma=None,
         k=state.k,
         meta={"chebyshev_degree": operator.degree,
               "chebyshev_coefficients": [s.coefficients.tolist()
-                                         for s in operator.scalar_series],
-              "biorthogonality_drift": drift,
-              "near_breakdowns": state.near_breakdowns},
+                                         for s in operator.scalar_series]},
     )
     if not converged.all():
         bad = [(float(mu), float(r))

@@ -3,9 +3,8 @@
 Sparse matrices are plain ``scipy.sparse`` CSR matrices throughout; this
 module adds the thin pieces the solvers need on top of them: triplet
 assembly with bounds checking, a counted LU factorization (so tests can
-assert how many factorizations a workflow performs), an O(k) shifted
-tridiagonal solve with partial pivoting, and natural cubic splines that
-interpolate several value columns over shared knots.
+assert how many factorizations a workflow performs), and natural cubic
+splines that interpolate several value columns over shared knots.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import OutOfRangeError, SingularMatrixError, SingularShiftError
+from .errors import OutOfRangeError, SingularMatrixError
 
 # Workflow-level cost counters, incremented by LUFactorization. Read them
 # with factorization_count()/triangular_solve_count(); tests assert deltas.
@@ -64,7 +63,7 @@ class LUFactorization:
         self.n = A.shape[0]
         amax = np.abs(A.data).max() if A.nnz else 0.0
         try:
-            self._lu = spla.splu(A)
+            self._lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
             raise SingularMatrixError(str(exc)) from exc
         piv = np.abs(self._lu.U.diagonal())
@@ -80,73 +79,6 @@ class LUFactorization:
             raise ValueError("rhs length %d does not match matrix size %d" % (rhs.shape[0], self.n))
         _COUNTS["solve"] += 1
         return self._lu.solve(rhs, trans="T" if transpose else "N")
-
-
-def lu_factor(A):
-    """Factor a square sparse matrix; see LUFactorization."""
-    return LUFactorization(A)
-
-
-def lu_solve(factorization, rhs, transpose=False):
-    return factorization.solve(rhs, transpose=transpose)
-
-
-def solve_shifted_tridiagonal(diag, sub, sup, gamma, rhs):
-    """Solve (I + gamma*T) y = rhs for tridiagonal T in O(k).
-
-    T is given by its diagonals: ``diag`` (k,), ``sub`` (k-1,) below,
-    ``sup`` (k-1,) above. Elimination uses partial pivoting between
-    adjacent rows (fill-in limited to a second superdiagonal). Raises
-    SingularShiftError when a pivot underflows, which signals that the
-    shifted system is (numerically) singular.
-    """
-    diag = np.asarray(diag, dtype=np.float64)
-    k = diag.shape[0]
-    if k == 0:
-        raise ValueError("empty system")
-    sub = np.asarray(sub, dtype=np.float64)
-    sup = np.asarray(sup, dtype=np.float64)
-    if sub.shape[0] != k - 1 or sup.shape[0] != k - 1:
-        raise ValueError("off-diagonals must have length k-1")
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape[0] != k:
-        raise ValueError("rhs length mismatch")
-
-    d0 = 1.0 + gamma * diag            # main diagonal of I + gamma*T
-    d1 = np.zeros(k)                   # first superdiagonal
-    d2 = np.zeros(k)                   # second superdiagonal (pivoting fill)
-    d1[: k - 1] = gamma * sup
-    lo = gamma * sub                   # subdiagonal, eliminated in place
-    b = rhs.astype(np.float64, copy=True)
-
-    scale = max(np.abs(d0).max(), np.abs(d1).max() if k > 1 else 0.0,
-                np.abs(lo).max() if k > 1 else 0.0)
-    tol = 1e-14 * max(scale, 1.0)
-
-    for i in range(k - 1):
-        if abs(lo[i]) > abs(d0[i]):
-            d0[i], lo[i] = lo[i], d0[i]
-            d0[i + 1], d1[i] = d1[i], d0[i + 1]
-            if i + 1 < k - 1:
-                d2[i], d1[i + 1] = d1[i + 1], d2[i]
-            b[i], b[i + 1] = b[i + 1], b[i]
-        if abs(d0[i]) < tol:
-            raise SingularShiftError("pivot underflow at row %d" % i)
-        m = lo[i] / d0[i]
-        d0[i + 1] -= m * d1[i]
-        if i + 1 < k - 1:
-            d1[i + 1] -= m * d2[i]
-        b[i + 1] -= m * b[i]
-    if abs(d0[k - 1]) < tol:
-        raise SingularShiftError("pivot underflow at last row")
-
-    y = np.zeros(k)
-    y[k - 1] = b[k - 1] / d0[k - 1]
-    if k > 1:
-        y[k - 2] = (b[k - 2] - d1[k - 2] * y[k - 1]) / d0[k - 2]
-    for i in range(k - 3, -1, -1):
-        y[i] = (b[i] - d1[i] * y[i + 1] - d2[i] * y[i + 2]) / d0[i]
-    return y
 
 
 def _thomas_spd(lower, diag, upper, rhs):
@@ -232,12 +164,3 @@ class CubicSpline:
         out = (M0 * a**3 + M1 * b**3) / (6.0 * h) \
             + (y0 / h - M0 * h / 6.0) * a + (y1 / h - M1 * h / 6.0) * b
         return out[0] if self._scalar else out
-
-
-def spline_fit(knots, values):
-    """Fit a natural cubic spline (polynomial fallback under 4 knots)."""
-    return CubicSpline(knots, values)
-
-
-def spline_eval(spline, x):
-    return spline(x)

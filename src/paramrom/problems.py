@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import storage
-from .linalg import lu_factor
+from .linalg import LUFactorization
 
 _BASIS = {
     "const": lambda t: 1.0,
@@ -132,7 +132,7 @@ def assemble(problem, mu1, mu2):
 def direct_reference_solve(problem, mu1, mu2):
     """Assemble and solve by LU: the ground-truth oracle for error maps."""
     A = assemble(problem, mu1, mu2)
-    return lu_factor(A).solve(np.asarray(problem.b, dtype=np.float64))
+    return LUFactorization(A).solve(np.asarray(problem.b, dtype=np.float64))
 
 
 def _laplacian_2d(grid_n):

@@ -65,11 +65,6 @@ def interpolate_model(model):
     return InterpolatedModel(model)
 
 
-def evaluate(interpolated, mu1, mu2):
-    """Model solution at (mu1, mu2); no factorization or solve involved."""
-    return interpolated(mu1, mu2)
-
-
 def relative_error(x_approx, x_ref):
     """||x_approx - x_ref||_2 / ||x_ref||_2 (a fraction, not percent)."""
     ref = float(np.linalg.norm(x_ref))

@@ -17,7 +17,7 @@ from paramrom.hopgd import (SnapshotTensor, decompose, eval_at_node,
                             full_grid_nodes, line_update_f1, line_update_f2,
                             sparse_cross_nodes)
 from paramrom.krylov import ShiftedKrylov, default_sigma, snapshot_sweep
-from paramrom.linalg import lu_factor
+from paramrom.linalg import LUFactorization
 from paramrom.problems import (advection_diffusion_1d, direct_reference_solve,
                                helmholtz_2d)
 from paramrom.rom import (RELIABLE_THRESHOLD, error_grid, interpolate_model,
@@ -74,7 +74,7 @@ def test_criterion_2_linearization_equivalence():
     for mu in rng.uniform(1, 2, 10):
         dense = dense_pencil_oracle(op, mu)
         u = np.linalg.solve(dense, c)
-        x = lu_factor(op.evaluate(mu)).solve(p.b)
+        x = LUFactorization(op.evaluate(mu)).solve(p.b)
         worst = max(worst, np.linalg.norm(u[: p.n] - x) / np.linalg.norm(x))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-9

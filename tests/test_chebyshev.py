@@ -8,7 +8,7 @@ from conftest import linear_problem, quadratic_problem
 from paramrom.chebyshev import (ChebyshevOperator,ChebyshevSeries,
                                 CompanionPencil, chebyshev_fit)
 from paramrom.errors import NoConvergenceError
-from paramrom.linalg import lu_factor
+from paramrom.linalg import LUFactorization
 from paramrom.problems import advection_diffusion_1d, assemble, helmholtz_2d
 
 
@@ -95,7 +95,7 @@ class TestPencil:
         op = ChebyshevOperator(p, 2, 0.5)
         pen = CompanionPencil(op, 0.43)
         for mu in rng.uniform(0, 1, 4):
-            x = lu_factor(op.evaluate(mu)).solve(p.b)
+            x = LUFactorization(op.evaluate(mu)).solve(p.b)
             t = mu / op.half_width
             taus = [1.0, t] + [0.0] * (op.degree - 1)
             for k in range(2, op.degree):
@@ -173,7 +173,7 @@ class TestPencil:
         assert op.degree == 1
         pen = CompanionPencil(op, 0.4)
         r = rng.standard_normal(p.n)
-        expected = lu_factor(op.evaluate(0.4)).solve(r)
+        expected = LUFactorization(op.evaluate(0.4)).solve(r)
         assert np.allclose(pen.solve(r), expected, atol=1e-12)
 
     def test_first_block_solves_original(self, rng):
@@ -185,7 +185,7 @@ class TestPencil:
         c = pen.stack_rhs(p.b)
         for mu in rng.uniform(1, 2, 10):
             u = np.linalg.solve(pen.dense_pencil(mu), c)
-            x = lu_factor(op.evaluate(mu)).solve(p.b)
+            x = LUFactorization(op.evaluate(mu)).solve(p.b)
             assert np.linalg.norm(u[: p.n] - x) <= 1e-9 * np.linalg.norm(x)
 
     def test_recurrence_scalars(self):

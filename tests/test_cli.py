@@ -52,7 +52,6 @@ def test_snapshots_rerun_is_byte_identical(tmp_path):
     assert v1 == v2
 
 
-@pytest.mark.filterwarnings("ignore:biorthogonality drift")
 def test_full_grid_snapshot_plan(tmp_path, capsys):
     cfg = RunConfig.from_dict({
         "problem": {"name": "helmholtz_sim2", "grid_n": 5},

@@ -4,11 +4,8 @@ import scipy.interpolate
 import scipy.sparse as sp
 
 from conftest import random_sparse
-from paramrom.errors import (OutOfRangeError, SingularMatrixError,
-                             SingularShiftError)
-from paramrom.linalg import (CubicSpline, lu_factor, lu_solve,
-                             solve_shifted_tridiagonal, sparse_from_triplets,
-                             spline_eval, spline_fit)
+from paramrom.errors import OutOfRangeError, SingularMatrixError
+from paramrom.linalg import CubicSpline, LUFactorization, sparse_from_triplets
 
 
 class TestTriplets:
@@ -34,25 +31,25 @@ class TestTriplets:
 
 class TestLU:
     def test_identity(self):
-        F = lu_factor(sp.identity(5, format="csr"))
+        F = LUFactorization(sp.identity(5, format="csr"))
         e1 = np.eye(5)[0]
         assert np.array_equal(F.solve(e1), e1)
 
     def test_tridiagonal_by_hand(self):
         # tridiag(1, -2, 1), size 4, all-ones rhs: eliminated by hand.
         T = sp.diags([np.ones(3), -2 * np.ones(4), np.ones(3)], [-1, 0, 1])
-        x = lu_factor(sp.csr_matrix(T)).solve(np.ones(4))
+        x = LUFactorization(sp.csr_matrix(T)).solve(np.ones(4))
         assert np.allclose(x, [-2.0, -3.0, -3.0, -2.0], atol=1e-12)
 
     def test_multiply_then_solve(self, rng):
         A = random_sparse(rng, 50)
         x_true = rng.standard_normal(50)
-        x = lu_factor(A).solve(A @ x_true)
+        x = LUFactorization(A).solve(A @ x_true)
         assert np.linalg.norm(x - x_true) <= 1e-10 * np.linalg.norm(x_true)
 
     def test_residual_property_many_rhs(self, rng):
         A = random_sparse(rng, 30)
-        F = lu_factor(A)
+        F = LUFactorization(A)
         for _ in range(100):
             rhs = rng.standard_normal(30)
             x = F.solve(rhs)
@@ -61,73 +58,28 @@ class TestLU:
     def test_transpose_solve(self, rng):
         A = random_sparse(rng, 20)
         S = sp.csr_matrix(A + A.T)
-        F = lu_factor(S)
+        F = LUFactorization(S)
         rhs = rng.standard_normal(20)
         assert np.allclose(F.solve(rhs), F.solve(rhs, transpose=True))
-        G = lu_factor(A)
+        G = LUFactorization(A)
         w = G.solve(rhs, transpose=True)
         assert np.linalg.norm(A.T @ w - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_diagonal(self):
         A = sp.diags([2.0, 4.0]).tocsr()
-        assert np.allclose(lu_factor(A).solve(np.array([2.0, 4.0])), [1.0, 1.0])
+        assert np.allclose(LUFactorization(A).solve(np.array([2.0, 4.0])), [1.0, 1.0])
 
     def test_singular_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularMatrixError):
-            lu_factor(A)
+            LUFactorization(A)
 
     def test_dimension_mismatch(self):
-        F = lu_factor(sp.identity(3, format="csr"))
+        F = LUFactorization(sp.identity(3, format="csr"))
         with pytest.raises(ValueError):
             F.solve(np.ones(4))
         with pytest.raises(ValueError):
-            lu_factor(sp.csr_matrix(np.ones((2, 3))))
-
-
-class TestShiftedTridiagonal:
-    def test_gamma_zero_is_identity(self, rng):
-        rhs = rng.standard_normal(7)
-        y = solve_shifted_tridiagonal(rng.standard_normal(7),
-                                      rng.standard_normal(6),
-                                      rng.standard_normal(6), 0.0, rhs)
-        assert np.allclose(y, rhs)
-
-    def test_diagonal_case(self):
-        y = solve_shifted_tridiagonal([1.0, 2.0], [0.0], [0.0], 1.0,
-                                      np.array([2.0, 3.0]))
-        assert np.allclose(y, [1.0, 1.0])
-
-    def test_against_dense_oracle(self, rng):
-        diag = rng.standard_normal(6)
-        sub = rng.standard_normal(5)
-        sup = rng.standard_normal(5)
-        gamma = 0.7
-        T = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        rhs = rng.standard_normal(6)
-        expected = np.linalg.solve(np.eye(6) + gamma * T, rhs)
-        y = solve_shifted_tridiagonal(diag, sub, sup, gamma, rhs)
-        assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
-
-    @pytest.mark.parametrize("k", [1, 2, 5, 17, 50])
-    def test_sizes_vs_dense(self, rng, k):
-        diag = rng.standard_normal(k)
-        sub = rng.standard_normal(max(k - 1, 0))
-        sup = rng.standard_normal(max(k - 1, 0))
-        gamma = rng.standard_normal()
-        rhs = rng.standard_normal(k)
-        T = np.diag(diag)
-        if k > 1:
-            T += np.diag(sub, -1) + np.diag(sup, 1)
-        expected = np.linalg.solve(np.eye(k) + gamma * T, rhs)
-        y = solve_shifted_tridiagonal(diag, sub, sup, gamma, rhs)
-        assert np.linalg.norm(y - expected) <= 1e-12 * np.linalg.norm(expected)
-
-    def test_singular_shift_detected(self):
-        # I + gamma*T with T = I and gamma = -1 is exactly singular.
-        with pytest.raises(SingularShiftError):
-            solve_shifted_tridiagonal(np.ones(4), np.zeros(3), np.zeros(3),
-                                      -1.0, np.ones(4))
+            LUFactorization(sp.csr_matrix(np.ones((2, 3))))
 
 
 class TestCubicSpline:
@@ -198,13 +150,3 @@ class TestCubicSpline:
             CubicSpline(np.array([0.0, 0.0, 1.0]), np.zeros(3))
         with pytest.raises(ValueError):
             CubicSpline(np.array([0.0]), np.zeros(1))
-
-
-def test_functional_aliases(rng):
-    A = random_sparse(rng, 8)
-    rhs = rng.standard_normal(8)
-    F = lu_factor(A)
-    assert np.array_equal(lu_solve(F, rhs), F.solve(rhs))
-    xs = np.linspace(0, 1, 6)
-    s = spline_fit(xs, xs**3)
-    assert spline_eval(s, 0.4) == s(0.4)

@@ -98,7 +98,6 @@ class TestInterpolation:
 
 
 class TestHelmholtzDeskRun:
-    @pytest.mark.filterwarnings("ignore:biorthogonality drift")
     def test_sim1_reference_evaluation_points(self):
         # Two mid-box evaluation points of the first Helmholtz variant;
         # the desk-scale 13-node cross model should land both in the
