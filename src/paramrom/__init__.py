@@ -20,7 +20,7 @@ from .hopgd import (NodeSet, SeparatedModel, SnapshotTensor, decompose,
                     save_model, sparse_cross_nodes)
 from .krylov import ShiftedKrylov, SnapshotLine, default_sigma, snapshot_sweep
 from .linalg import (CubicSpline, LUFactorization, factorization_count,
-                     sparse_from_triplets, triangular_solve_count)
+                     triangular_solve_count)
 from .problems import (ParamFunction, SplitProblem, advection_diffusion_1d,
                        assemble, direct_reference_solve, helmholtz_2d,
                        load_problem, save_problem)
@@ -42,6 +42,6 @@ __all__ = [
     "factorization_count", "full_grid_nodes", "helmholtz_2d",
     "interpolate_model", "load_model", "load_problem", "node_residual",
     "refine_estimate", "relative_error", "save_model", "save_problem",
-    "snapshot_sweep", "sparse_cross_nodes", "sparse_from_triplets",
-    "triangular_solve_count", "write_error_grid_csv",
+    "snapshot_sweep", "sparse_cross_nodes", "triangular_solve_count",
+    "write_error_grid_csv",
 ]

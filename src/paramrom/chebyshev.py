@@ -5,10 +5,10 @@ With one parameter fixed, A(mu) is approximated by P(mu) = sum_l P_l T_l(mu/c)
 on a symmetric interval [-c, c] containing the parameter range. The
 polynomial system P(mu) x = b is equivalent to a block-linear pencil
 (K - mu M) u = (0, ..., 0, b) built from the Chebyshev three-term
-recurrence, whose first block of u recovers x. CompanionPencil realizes K
-and M as implicit block operators and solves (K - sigma M) u = r with a
-single n x n LU of P(sigma) per instance (block elimination; the adjoint
-elimination handles the transpose).
+recurrence, whose first block of u recovers x. CompanionPencil applies
+K - mu M (K at mu = 0) and M as implicit block operators and solves
+(K - sigma M) u = r with a single n x n LU of P(sigma) per instance (block
+elimination; the adjoint elimination handles the transpose).
 """
 
 from __future__ import annotations
@@ -177,9 +177,8 @@ class CompanionPencil:
         taus = [1.0, s]
         for _ in range(2, self.d + 1):
             taus.append(2.0 * s * taus[-1] - taus[-2])
+        # tau_l = T_l(sigma/c), l = 0..d: recurrence scalars of the solve
         self.taus = np.array(taus[: self.d + 1])
-        # alpha_i = T_{i-1}(sigma/c), i = 1..d: recurrence scalars of the solve
-        self.alphas = self.taus[: self.d]
         self.lu = LUFactorization(operator.evaluate(self.sigma))
 
     @property
@@ -192,21 +191,37 @@ class CompanionPencil:
             raise ValueError("block vector must have length d*n = %d" % self.block_size)
         return u.reshape(self.d, self.n)
 
-    def apply(self, which, u, mu=None, transpose=False):
-        """Apply K, M or (K - mu M) to a block vector."""
-        if which == "K":
-            return self._apply_K(u, transpose)
-        if which == "M":
-            return self.apply_M(u, transpose)
-        if which == "pencil":
-            if mu is None:
-                raise ValueError("pencil application needs mu")
-            Ku = self._apply_K(u, transpose)
-            Mu = self.apply_M(u, transpose)
-            return Ku - mu * Mu
-        raise ValueError("which must be 'K', 'M' or 'pencil'")
+    def apply(self, u, mu, transpose=False):
+        """(K - mu M) u, or (K - mu M)^T u; K is apply(u, 0).
+
+        The first d-1 block rows are the scalar recurrence rows L; the last
+        one is sum_j Q_j u_j with Q_j = P_j, except that
+        Q_{d-2} = P_{d-2} - P_d and Q_{d-1} = P_{d-1} + 2 s P_d (for d = 1,
+        Q_0 = P_0 + s P_1)."""
+        d, s = self.d, mu / self.c
+        P = self.operator.matrices
+        U = self._blocks(u)
+        L = np.eye(d - 1, d, 1) + np.eye(d - 1, d, -1) - 2.0 * s * np.eye(d - 1, d)
+        Q = list(P[:d])
+        if d == 1:
+            Q[0] = P[0] + s * P[1]
+        else:
+            L[0, 0] = -s
+            Q[d - 2] = P[d - 2] - P[d]
+            Q[d - 1] = P[d - 1] + 2.0 * s * P[d]
+        if transpose:
+            out = L.T @ U[:-1]
+            for j in range(d):
+                out[j] += Q[j].T @ U[-1]
+            return out.ravel()
+        out = np.empty_like(U)
+        out[:-1] = L @ U
+        out[-1] = sum(Qj @ Uj for Qj, Uj in zip(Q, U))
+        return out.ravel()
 
     def apply_M(self, u, transpose=False):
+        """M u (or M^T u): scaled identity blocks in the recurrence rows
+        and the leading coefficient P_d in the last row."""
         d, n, c = self.d, self.n, self.c
         P = self.operator.matrices
         U = self._blocks(u)
@@ -220,37 +235,6 @@ class CompanionPencil:
             out[i] = 2.0 * U[i] / c
         Pd = P[d].T if transpose else P[d]
         out[d - 1] = -2.0 * (Pd @ U[d - 1]) / c
-        return out.ravel()
-
-    def _apply_K(self, u, transpose=False):
-        d, n = self.d, self.n
-        P = self.operator.matrices
-        U = self._blocks(u)
-        out = np.zeros_like(U)
-        if d == 1:
-            P0 = P[0].T if transpose else P[0]
-            out[0] = P0 @ U[0]
-            return out.ravel()
-        if not transpose:
-            out[0] = U[1]
-            for i in range(1, d - 1):
-                out[i] = U[i - 1] + U[i + 1]
-            row = np.zeros(n)
-            for l in range(d - 2):
-                row += P[l] @ U[l]
-            row += (P[d - 2] - P[d]) @ U[d - 2] + P[d - 1] @ U[d - 1]
-            out[d - 1] = row
-            return out.ravel()
-        # K^T: block j collects K[i, j]^T over rows i
-        if d == 2:
-            out[0] = (P[0] - P[2]).T @ U[1]
-            out[1] = U[0] + P[1].T @ U[1]
-            return out.ravel()
-        out[0] = U[1] + P[0].T @ U[d - 1]
-        for j in range(1, d - 2):
-            out[j] = U[j - 1] + U[j + 1] + P[j].T @ U[d - 1]
-        out[d - 2] = U[d - 3] + (P[d - 2] - P[d]).T @ U[d - 1]
-        out[d - 1] = U[d - 2] + P[d - 1].T @ U[d - 1]
         return out.ravel()
 
     def solve(self, r, transpose=False):
@@ -313,10 +297,4 @@ class CompanionPencil:
 
     def dense_pencil(self, mu):
         """Assemble K - mu M densely (oracle for small problems)."""
-        dim = self.block_size
-        cols = np.empty((dim, dim))
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = 1.0
-            cols[:, j] = self.apply("pencil", e, mu=mu)
-        return cols
+        return np.column_stack([self.apply(e, mu) for e in np.eye(self.block_size)])

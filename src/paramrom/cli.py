@@ -42,8 +42,7 @@ class RunConfig:
         "sigma": None, "tol": 1e-8, "k_max": 300})
     decompose: dict = field(default_factory=lambda: {
         "eps_fixed_point": 1e-4, "eps_node": 1e-3, "max_modes": 50,
-        "max_inner": 1, "phi_update": "normal_equations",
-        "mode_init": "pivot"})
+        "max_inner": 1})
     seed: int = 0
     outdir: str = "paramrom_out"
 
@@ -270,8 +269,7 @@ def cmd_estimate(cfg, observed=None, true_mu=None, noise=0.0, runs=3,
         eps_node=float(cfg.decompose.get("eps_node", 1e-3)),
         max_modes=int(cfg.decompose.get("max_modes", 50)),
         decompose_opts={k: v for k, v in cfg.decompose.items()
-                        if k in ("eps_fixed_point", "max_inner", "phi_update",
-                                 "mode_init")},
+                        if k in ("eps_fixed_point", "max_inner")},
         true_parameters=true_mu,
     )
     report = {"runs": [r.to_dict() for r in records],
@@ -344,8 +342,6 @@ def _parser():
     sp.add_argument("--eps-node", type=float)
     sp.add_argument("--max-modes", type=int)
     sp.add_argument("--max-inner", type=int)
-    sp.add_argument("--phi-update", choices=["normal_equations", "as_written"])
-    sp.add_argument("--mode-init", choices=["pivot", "ones"])
     sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("eval", help="evaluate a model at one point")
@@ -419,7 +415,7 @@ def main(argv=None):
         if args.command == "decompose":
             options = {}
             for key in ("eps_fixed_point", "eps_node", "max_modes",
-                        "max_inner", "phi_update", "mode_init"):
+                        "max_inner"):
                 value = getattr(args, key)
                 if value is not None:
                     options[key] = value

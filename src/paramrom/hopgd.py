@@ -3,10 +3,8 @@ cross or a full grid.
 
 Each accepted mode is a rank-one term mode_vector * F1(mu1) * F2(mu2).
 Profile updates solve the per-row/per-column normal equations over the
-member nodes (phi_update="normal_equations"); on a sparse cross the
-non-anchor rows and columns then reduce to single-node ratios. The
-selectable "as_written" variant replaces the mode-vector update by the
-plain residual-sum ratio.
+member nodes; on a sparse cross the non-anchor rows and columns then
+reduce to single-node ratios.
 
 A note on the defaults: iterating each mode's alternating updates to a
 tight fixed point computes the best rank-one fit of the cross data, but
@@ -14,9 +12,9 @@ on cross sampling those optima systematically develop huge opposite
 scale factors (tiny at the anchor, huge at the ends) whose products
 cancel on the sampled lines yet explode between them; the resulting
 models interpolate the nodes and are useless elsewhere. The default here
-therefore seeds every mode at the worst node (mode_init="pivot") and
-accepts it after a single update sweep (max_inner=1), a greedy-pivot
-regime that converges node errors AND preserves off-node accuracy.
+therefore seeds every mode at the worst node and accepts it after a
+single update sweep (max_inner=1), a greedy-pivot regime that converges
+node errors AND preserves off-node accuracy.
 Deeper fixed-point iteration remains available via max_inner/eps settings.
 """
 
@@ -235,12 +233,11 @@ def _guarded_vec(values, scale):
 
 
 def decompose(tensor, eps_fixed_point=1e-4, eps_node=1e-3, max_modes=50,
-              max_inner=1, phi_update="normal_equations", mode_init="pivot",
-              restart_seed=0):
+              max_inner=1, restart_seed=0):
     """Greedy rank-one decomposition of the snapshot tensor.
 
-    Per mode: initialize the profile vectors, then loop (at most
-    ``max_inner`` times): update the mode vector from all member nodes,
+    Per mode: seed the profile vectors at the worst node, then loop (at
+    most ``max_inner`` times): update the mode vector from all member nodes,
     then F1 per row and F2 per column by least squares, using the freshest
     values; declare a fixed point when the relative rank-one change
     ||old_term - new_term|| / ||new_term|| is below eps_fixed_point at
@@ -251,10 +248,6 @@ def decompose(tensor, eps_fixed_point=1e-4, eps_node=1e-3, max_modes=50,
     a perturbed initialization (seeded); if it stagnates again the model
     is returned with converged=False so the caller can resample snapshots.
     """
-    if phi_update not in ("normal_equations", "as_written"):
-        raise ValueError("phi_update must be 'normal_equations' or 'as_written'")
-    if mode_init not in ("pivot", "ones"):
-        raise ValueError("mode_init must be 'pivot' or 'ones'")
     if max_inner < 1 or max_modes < 1:
         raise ValueError("max_inner and max_modes must be at least 1")
     nodes = tensor.nodes
@@ -275,17 +268,16 @@ def decompose(tensor, eps_fixed_point=1e-4, eps_node=1e-3, max_modes=50,
         if node_err.max() < eps_node:
             converged = True
             break
-        init = _initial_profiles(mode_init, node_err, I, J, n1, n2, nodes)
+        init = _initial_profiles(node_err, I, J, n1, n2, nodes)
         try:
             phi, F1, F2, inner, delta = _fit_mode(
-                R, I, J, n1, n2, init, eps_fixed_point, max_inner, phi_update)
+                R, I, J, n1, n2, init, eps_fixed_point, max_inner)
         except _Stagnation:
             perturbed = (init[0] + 0.01 * rng.standard_normal(n1),
                          init[1] + 0.01 * rng.standard_normal(n2))
             try:
                 phi, F1, F2, inner, delta = _fit_mode(
-                    R, I, J, n1, n2, perturbed, eps_fixed_point, max_inner,
-                    phi_update)
+                    R, I, J, n1, n2, perturbed, eps_fixed_point, max_inner)
             except _Stagnation:
                 log.append({"mode": len(modes) + 1, "event": "stagnated",
                             "max_node_error": float(node_err.max())})
@@ -329,9 +321,7 @@ def decompose(tensor, eps_fixed_point=1e-4, eps_node=1e-3, max_modes=50,
     )
 
 
-def _initial_profiles(mode_init, node_err, I, J, n1, n2, nodes):
-    if mode_init == "ones":
-        return np.ones(n1), np.ones(n2)
+def _initial_profiles(node_err, I, J, n1, n2, nodes):
     worst = int(np.argmax(node_err))
     F1 = np.zeros(n1)
     F2 = np.zeros(n2)
@@ -343,7 +333,7 @@ def _initial_profiles(mode_init, node_err, I, J, n1, n2, nodes):
     return F1, F2
 
 
-def _fit_mode(R, I, J, n1, n2, init, eps_fixed_point, max_inner, phi_update):
+def _fit_mode(R, I, J, n1, n2, init, eps_fixed_point, max_inner):
     F1 = init[0].astype(np.float64, copy=True)
     F2 = init[1].astype(np.float64, copy=True)
     phi_old = np.zeros(R.shape[1])
@@ -351,12 +341,8 @@ def _fit_mode(R, I, J, n1, n2, init, eps_fixed_point, max_inner, phi_update):
     delta = np.inf
     for inner in range(1, max_inner + 1):
         coef = F1[I] * F2[J]
-        if phi_update == "normal_equations":
-            den = _guarded(coef @ coef, float((coef * coef).max()))
-            phi = (R.T @ coef) / den
-        else:
-            den = _guarded(coef.sum(), float(np.abs(coef).max()))
-            phi = R.sum(axis=0) / den
+        den = _guarded(coef @ coef, float((coef * coef).max()))
+        phi = (R.T @ coef) / den
         proj = R @ phi
         p2 = _guarded(phi @ phi, float(np.abs(phi).max() ** 2 or 1.0))
         den1 = p2 * np.bincount(I, weights=F2[J] ** 2, minlength=n1)

@@ -1,10 +1,10 @@
 """Dense/sparse kernels used by the rest of the toolkit.
 
 Sparse matrices are plain ``scipy.sparse`` CSR matrices throughout; this
-module adds the thin pieces the solvers need on top of them: triplet
-assembly with bounds checking, a counted LU factorization (so tests can
-assert how many factorizations a workflow performs), and natural cubic
-splines that interpolate several value columns over shared knots.
+module adds the thin pieces the solvers need on top of them: a counted LU
+factorization (so tests can assert how many factorizations a workflow
+performs), and natural cubic splines that interpolate several value
+columns over shared knots.
 """
 
 from __future__ import annotations
@@ -26,26 +26,6 @@ def factorization_count():
 
 def triangular_solve_count():
     return _COUNTS["solve"]
-
-
-def sparse_from_triplets(n_rows, n_cols, rows, cols, values):
-    """Assemble a CSR matrix from coordinate triplets.
-
-    Duplicate (row, col) entries are summed; indices are bounds-checked.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if not (rows.shape == cols.shape == values.shape):
-        raise ValueError("rows, cols and values must have matching lengths")
-    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-        raise ValueError("row index out of bounds")
-    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
-        raise ValueError("column index out of bounds")
-    A = sp.coo_matrix((values, (rows, cols)), shape=(n_rows, n_cols))
-    A = A.tocsr()
-    A.sum_duplicates()
-    return A
 
 
 class LUFactorization:

@@ -12,7 +12,7 @@ import csv
 
 import numpy as np
 
-from .errors import OutOfRangeError, ZeroReferenceError
+from .errors import OutOfRangeError, ParamRomError, ZeroReferenceError
 from .linalg import CubicSpline
 from .problems import direct_reference_solve
 
@@ -85,9 +85,10 @@ def classify_error(err):
 def error_grid(interpolated, problem, grid1=20, grid2=20):
     """Compare model against the direct solver on an equidistant grid.
 
-    Returns a list of row dicts (mu1, mu2, rel_err, class); solver
-    failures are recorded per cell ('failed', NaN error) without aborting
-    the rest of the grid. Each cell assembles and factors its own matrix;
+    Returns a list of row dicts (mu1, mu2, rel_err, class); toolkit errors
+    (ParamRomError, e.g. a singular cell) are recorded per cell ('failed',
+    NaN error) without aborting the rest of the grid; anything else, such
+    as a model/problem size mismatch, propagates. Each cell assembles and factors its own matrix;
     nothing is reused since the operator varies nonlinearly over the box.
     """
     (a1, b1), (a2, b2) = interpolated.box
@@ -100,7 +101,7 @@ def error_grid(interpolated, problem, grid1=20, grid2=20):
                 err = relative_error(interpolated(mu1, mu2), reference)
                 row["rel_err"] = err
                 row["class"] = classify_error(err)
-            except Exception as exc:  # record per-cell failures, keep going
+            except ParamRomError as exc:
                 row["rel_err"] = float("nan")
                 row["class"] = "failed"
                 row["error"] = str(exc)

@@ -93,7 +93,7 @@ def test_criterion_3_pencil_inverse():
     worst_round, worst_dense = 0.0, 0.0
     for _ in range(20):
         u = rng.standard_normal(pen.block_size)
-        r = pen.apply("pencil", u, mu=pen.sigma)
+        r = pen.apply(u, pen.sigma)
         worst_round = max(worst_round,
                           np.linalg.norm(pen.solve(r) - u) / np.linalg.norm(u))
         rr = rng.standard_normal(pen.block_size)
@@ -102,7 +102,7 @@ def test_criterion_3_pencil_inverse():
                           np.linalg.norm(pen.solve(rr) - expected)
                           / np.linalg.norm(expected))
         w = pen.solve(rr, transpose=True)
-        back = pen.apply("pencil", w, mu=pen.sigma, transpose=True)
+        back = pen.apply(w, pen.sigma, transpose=True)
         worst_round = max(worst_round,
                           np.linalg.norm(back - rr) / np.linalg.norm(rr))
     elapsed = time.perf_counter() - t0
@@ -161,8 +161,7 @@ def test_criterion_5_hopgd_oracle():
                         for a, pr, gg, hh in zip(amps, profiles, g, h))
             for (i, j) in nodes.members}
     tensor = SnapshotTensor(nodes, data)
-    model = decompose(tensor, eps_node=1e-10, max_modes=5,
-                      phi_update="normal_equations")
+    model = decompose(tensor, eps_node=1e-10, max_modes=5)
     assert model.converged
     assert model.rank <= 5
     worst = 0.0

@@ -87,6 +87,18 @@ class TestOperator:
             ChebyshevOperator(helmholtz_2d("sim1", 4), 1, 0.5)
 
 
+def _pencils(*cases):
+    """Small pencils by name. sim3 has three terms; on each line the
+    fixed-axis term folds into P_0."""
+    make = {
+        "quadratic": lambda: (ChebyshevOperator(quadratic_problem(), 2, 0.5), 0.21),
+        "sim1": lambda: (ChebyshevOperator(helmholtz_2d("sim1", 4), 2, 1.5), 1.48),
+        "sim3-axis1": lambda: (ChebyshevOperator(helmholtz_2d("sim3", 4), 1, 0.5), 0.48),
+        "sim3-axis2": lambda: (ChebyshevOperator(helmholtz_2d("sim3", 4), 2, 0.5), 0.48),
+    }
+    return [CompanionPencil(*make[case]()) for case in cases]
+
+
 class TestPencil:
     def test_chebyshev_stack_solves_linearization(self, rng):
         # u = (x, T_1(mu/c) x, ...) with P(mu) x = b satisfies
@@ -101,7 +113,7 @@ class TestPencil:
             for k in range(2, op.degree):
                 taus[k] = 2 * t * taus[k - 1] - taus[k - 2]
             u = np.concatenate([tau * x for tau in taus[: op.degree]])
-            out = pen.apply("pencil", u, mu=mu)
+            out = pen.apply(u, mu)
             expected = pen.stack_rhs(p.b)
             assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
 
@@ -124,48 +136,50 @@ class TestPencil:
         assert np.allclose(dense, K - mu * M, atol=1e-12)
 
     def test_mu_zero_pencil_equals_K(self, rng):
+        # apply(u, 0) is K u, and the pencil is linear in mu with slope -M
         p = quadratic_problem()
         pen = CompanionPencil(ChebyshevOperator(p, 2, 0.5), 0.3)
         u = rng.standard_normal(pen.block_size)
-        assert np.allclose(pen.apply("pencil", u, mu=0.0), pen.apply("K", u))
+        for mu in (0.4, -1.3):
+            assert np.allclose(pen.apply(u, mu), pen.apply(u, 0.0) - mu * pen.apply_M(u))
 
     def test_solve_round_trip(self, rng):
         p = helmholtz_2d("sim1", 4)
         pen = CompanionPencil(ChebyshevOperator(p, 2, 1.5), 1.48)
         for _ in range(5):
             u = rng.standard_normal(pen.block_size)
-            r = pen.apply("pencil", u, mu=pen.sigma)
+            r = pen.apply(u, pen.sigma)
             back = pen.solve(r)
             assert np.linalg.norm(back - u) <= 1e-10 * np.linalg.norm(u)
 
     def test_transpose_round_trip(self, rng):
-        p = helmholtz_2d("sim1", 4)
-        pen = CompanionPencil(ChebyshevOperator(p, 2, 1.5), 1.48)
-        for _ in range(5):
-            r = rng.standard_normal(pen.block_size)
-            w = pen.solve(r, transpose=True)
-            back = pen.apply("pencil", w, mu=pen.sigma, transpose=True)
-            assert np.linalg.norm(back - r) <= 1e-10 * np.linalg.norm(r)
+        for pen in _pencils("sim1", "sim3-axis1", "sim3-axis2"):
+            for _ in range(5):
+                r = rng.standard_normal(pen.block_size)
+                w = pen.solve(r, transpose=True)
+                back = pen.apply(w, pen.sigma, transpose=True)
+                assert np.linalg.norm(back - r) <= 1e-10 * np.linalg.norm(r)
 
     def test_transpose_apply_is_adjoint(self, rng):
-        p = quadratic_problem()
-        pen = CompanionPencil(ChebyshevOperator(p, 2, 0.5), 0.21)
-        for which in ("K", "M", "pencil"):
-            u = rng.standard_normal(pen.block_size)
-            v = rng.standard_normal(pen.block_size)
-            lhs = v @ pen.apply(which, u, mu=0.4)
-            rhs = u @ pen.apply(which, v, mu=0.4, transpose=True)
-            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+        for pen in _pencils("quadratic", "sim3-axis1", "sim3-axis2"):
+            K = lambda u, transpose: pen.apply(u, 0.0, transpose)
+            pencil = lambda u, transpose: pen.apply(u, 0.4, transpose)
+            for op in (K, pen.apply_M, pencil):
+                u = rng.standard_normal(pen.block_size)
+                v = rng.standard_normal(pen.block_size)
+                lhs = v @ op(u, False)
+                rhs = u @ op(v, True)
+                assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_against_dense_lu(self, rng):
-        p = helmholtz_2d("sim1", 4)  # small n for the dense oracle
-        pen = CompanionPencil(ChebyshevOperator(p, 2, 1.5), 1.48)
-        dense = pen.dense_pencil(pen.sigma)
-        for _ in range(20):
-            r = rng.standard_normal(pen.block_size)
-            expected = np.linalg.solve(dense, r)
-            got = pen.solve(r)
-            assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+        # small n for the dense oracle
+        for pen in _pencils("sim1", "sim3-axis1", "sim3-axis2"):
+            dense = pen.dense_pencil(pen.sigma)
+            for _ in range(20):
+                r = rng.standard_normal(pen.block_size)
+                expected = np.linalg.solve(dense, r)
+                got = pen.solve(r)
+                assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_degree_one_degenerate(self, rng):
         p = linear_problem()
@@ -192,10 +206,10 @@ class TestPencil:
         p = helmholtz_2d("sim1", 4)
         pen = CompanionPencil(ChebyshevOperator(p, 2, 1.5), 1.48)
         s = pen.sigma / pen.c
-        alphas = pen.alphas
-        assert alphas[0] == 1.0
-        if len(alphas) > 1:
-            assert alphas[1] == pytest.approx(s)
-        for i in range(2, len(alphas)):
-            assert alphas[i] == pytest.approx(2 * s * alphas[i - 1] - alphas[i - 2])
-            assert alphas[i] == pytest.approx(math.cos((i) * math.acos(s)))
+        taus = pen.taus
+        assert len(taus) == pen.d + 1
+        assert taus[0] == 1.0
+        assert taus[1] == pytest.approx(s)
+        for i in range(2, len(taus)):
+            assert taus[i] == pytest.approx(2 * s * taus[i - 1] - taus[i - 2])
+            assert taus[i] == pytest.approx(math.cos((i) * math.acos(s)))

@@ -109,7 +109,8 @@ def test_errmap_csv(tmp_path, capsys):
     assert cli.cmd_errmap(modeldir, csv_path, 5, 4) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["cells"] == 20
-    lines = open(csv_path).read().strip().splitlines()
+    with open(csv_path) as fh:
+        lines = fh.read().strip().splitlines()
     assert lines[0] == "mu1,mu2,rel_err_percent,class"
     assert len(lines) == 21
 

@@ -151,25 +151,6 @@ class TestDecompose:
         assert not model.converged
         assert model.log[-1]["event"] == "max_modes_reached"
 
-    def test_as_written_variant_on_rank_one(self, rng):
-        nodes = sparse_cross_nodes(((0, 1), (0, 1)), 3, 3)
-        phi = rng.standard_normal(25)
-        data = {(i, j): phi * (1 + i + j) for (i, j) in nodes.members}
-        tensor = SnapshotTensor(nodes, data)
-        model = decompose(tensor, phi_update="as_written", eps_node=1e-8,
-                          max_modes=6)
-        assert model.rank >= 1
-
-    def test_ones_init_deep_iteration_path(self):
-        # The anchor row of the general update couples to the whole
-        # crossing line, so the ones-init fixed point approaches the exact
-        # rank-one factors only linearly; a second mode mops up.
-        nodes = sparse_cross_nodes(((0, 1), (0, 1)), 5, 5)
-        tensor = separable_tensor(nodes, amplitudes=(1.0,))
-        model = decompose(tensor, mode_init="ones", max_inner=200,
-                          eps_node=1e-10)
-        assert model.converged and model.rank <= 2
-
     def test_mode_vectors_unit_norm(self):
         nodes = sparse_cross_nodes(((0, 1), (0, 1)), 5, 5)
         model = decompose(separable_tensor(nodes))

@@ -5,28 +5,7 @@ import scipy.sparse as sp
 
 from conftest import random_sparse
 from paramrom.errors import OutOfRangeError, SingularMatrixError
-from paramrom.linalg import CubicSpline, LUFactorization, sparse_from_triplets
-
-
-class TestTriplets:
-    def test_duplicates_are_summed(self):
-        A = sparse_from_triplets(2, 2, [0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0])
-        assert A[0, 0] == 3.0
-        assert A[1, 1] == 5.0
-        assert A.nnz == 2
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            sparse_from_triplets(2, 2, [2], [0], [1.0])
-        with pytest.raises(ValueError):
-            sparse_from_triplets(2, 2, [0], [-1], [1.0])
-
-    def test_product_matches_dense(self, rng):
-        A = sparse_from_triplets(4, 3, rng.integers(0, 4, 10),
-                                 rng.integers(0, 3, 10),
-                                 rng.standard_normal(10))
-        x = rng.standard_normal(3)
-        assert np.allclose(A @ x, A.toarray() @ x)
+from paramrom.linalg import CubicSpline, LUFactorization
 
 
 class TestLU:

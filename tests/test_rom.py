@@ -178,3 +178,8 @@ class TestErrorGrid:
         rows = rom.error_grid(im, singular, 2, 2)
         assert all(r["class"] == "failed" for r in rows)
         assert len(rows) == 4
+
+    def test_size_mismatch_raises(self, advdiff_model):
+        _, _, _, im = advdiff_model
+        with pytest.raises(ValueError):
+            rom.error_grid(im, advection_diffusion_1d(99, 0.01), 2, 2)
