@@ -101,7 +101,7 @@ class ChebyshevOperator:
     parameter axis fixed. Degree is shared across terms (zero padding) and
     at least 1 so the pencil below is always well formed."""
 
-    def __init__(self, problem, fixed_axis, fixed_value, tol=1e-13, max_degree=64):
+    def __init__(self, problem, fixed_axis, fixed_value):
         if fixed_axis not in (1, 2):
             raise ValueError("fixed_axis must be 1 or 2")
         (a1, b1), (a2, b2) = problem.box
@@ -121,7 +121,7 @@ class ChebyshevOperator:
                 g = lambda mu, f=f: f(fixed_value, mu)
             else:
                 g = lambda mu, f=f: f(mu, fixed_value)
-            series.append(chebyshev_fit(g, self.half_width, tol, max_degree))
+            series.append(chebyshev_fit(g, self.half_width))
         self.scalar_series = series
         d = max(max(s.degree for s in series), 1)
         self.degree = d

@@ -41,8 +41,7 @@ class RunConfig:
     sweep: dict = field(default_factory=lambda: {
         "sigma": None, "tol": 1e-8, "k_max": 300})
     decompose: dict = field(default_factory=lambda: {
-        "eps_fixed_point": 1e-4, "eps_node": 1e-3, "max_modes": 50,
-        "max_inner": 1})
+        "eps_node": 1e-3, "max_modes": 50})
     seed: int = 0
     outdir: str = "paramrom_out"
 
@@ -51,17 +50,27 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """Merge ``d`` over the defaults. The keys of ``nodes``, ``sweep``
+        and ``decompose`` must be known; ``problem`` keys are not checked,
+        because they differ between presets and problem directories."""
         cfg = cls()
         for key, value in d.items():
             if not hasattr(cfg, key):
                 raise ValueError("unknown config key %r" % key)
             default = getattr(cfg, key)
-            if isinstance(default, dict) and isinstance(value, dict):
-                merged = dict(default)
-                merged.update(value)
-                setattr(cfg, key, merged)
-            else:
-                setattr(cfg, key, value)
+            if isinstance(default, dict):
+                if not isinstance(value, dict):
+                    raise ValueError("config key %r must be an object" % key)
+                unknown = sorted(set(value) - set(default))
+                if key != "problem" and unknown:
+                    raise ValueError("unknown %s config key %r"
+                                     % (key, unknown[0]))
+                value = default | value
+            setattr(cfg, key, value)
+        sigma = cfg.sweep["sigma"]
+        if sigma is not None and type(sigma) not in (int, float):
+            raise ValueError("sweep.sigma must be null or a number, got %r"
+                             % (sigma,))
         return cfg
 
     @classmethod
@@ -98,15 +107,6 @@ def _sweep_plan(nodes):
     return [(2, float(mu2), nodes.mu1_values) for mu2 in nodes.mu2_values]
 
 
-def _sigma_for(line_index, sweep_cfg, interval):
-    sigma = sweep_cfg.get("sigma")
-    if sigma is None:
-        return krylov.default_sigma(interval)
-    if isinstance(sigma, (list, tuple)):
-        return float(sigma[line_index])
-    return float(sigma)
-
-
 def cmd_snapshots(cfg):
     problem = _build_problem(cfg)
     nodes = _node_set(cfg, problem.box)
@@ -115,10 +115,9 @@ def cmd_snapshots(cfg):
     t0 = time.perf_counter()
     lines_meta = []
     for index, (fixed_axis, fixed_value, values) in enumerate(_sweep_plan(nodes)):
-        interval = (float(values[0]), float(values[-1]))
         line = krylov.snapshot_sweep(
             problem, fixed_axis, fixed_value, values,
-            sigma=_sigma_for(index, cfg.sweep, interval),
+            sigma=cfg.sweep.get("sigma"),
             tol=float(cfg.sweep.get("tol", 1e-8)),
             k_max=int(cfg.sweep.get("k_max", 300)),
         )
@@ -268,8 +267,6 @@ def cmd_estimate(cfg, observed=None, true_mu=None, noise=0.0, runs=3,
         k_max=int(cfg.sweep.get("k_max", 300)),
         eps_node=float(cfg.decompose.get("eps_node", 1e-3)),
         max_modes=int(cfg.decompose.get("max_modes", 50)),
-        decompose_opts={k: v for k, v in cfg.decompose.items()
-                        if k in ("eps_fixed_point", "max_inner")},
         true_parameters=true_mu,
     )
     report = {"runs": [r.to_dict() for r in records],
@@ -338,10 +335,8 @@ def _parser():
     sp = sub.add_parser("decompose", help="decompose a snapshot directory")
     sp.add_argument("snapshots")
     sp.add_argument("-o", "--model", required=True)
-    sp.add_argument("--eps-fixed-point", type=float)
     sp.add_argument("--eps-node", type=float)
     sp.add_argument("--max-modes", type=int)
-    sp.add_argument("--max-inner", type=int)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("eval", help="evaluate a model at one point")
@@ -414,8 +409,7 @@ def main(argv=None):
             return cmd_snapshots(_config_from_args(args))
         if args.command == "decompose":
             options = {}
-            for key in ("eps_fixed_point", "eps_node", "max_modes",
-                        "max_inner"):
+            for key in ("eps_node", "max_modes"):
                 value = getattr(args, key)
                 if value is not None:
                     options[key] = value

@@ -22,10 +22,10 @@ def add_noise(x, eps, seed=None):
     return x + eps * rng.standard_normal(x.shape[0])
 
 
-def _nelder_mead(f, x0, box, max_iter=500, diameter_tol=1e-10):
+def _nelder_mead(f, x0, box):
     """Minimize f over the box: reflection/expansion/contraction with every
-    vertex clamped to the box; stops when the simplex diameter falls below
-    diameter_tol times the box diagonal."""
+    vertex clamped to the box; stops after 500 iterations or when the
+    simplex diameter falls below 1e-10 times the box diagonal."""
     (a1, b1), (a2, b2) = box
     diagonal = float(np.hypot(b1 - a1, b2 - a2))
 
@@ -43,7 +43,7 @@ def _nelder_mead(f, x0, box, max_iter=500, diameter_tol=1e-10):
             simplex[idx] = clamp(simplex[0] + inward)
     values = [f(x) for x in simplex]
 
-    for _ in range(max_iter):
+    for _ in range(500):
         order = np.argsort(values)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
@@ -52,7 +52,7 @@ def _nelder_mead(f, x0, box, max_iter=500, diameter_tol=1e-10):
             float(np.linalg.norm(simplex[0] - simplex[2])),
             float(np.linalg.norm(simplex[1] - simplex[2])),
         )
-        if diameter < diameter_tol * diagonal:
+        if diameter < 1e-10 * diagonal:
             break
         centroid = 0.5 * (simplex[0] + simplex[1])
         reflected = clamp(centroid + (centroid - simplex[2]))
@@ -79,7 +79,7 @@ def _nelder_mead(f, x0, box, max_iter=500, diameter_tol=1e-10):
     return simplex[best], float(values[best])
 
 
-def estimate_parameters(interpolated, x_obs, coarse=41, max_iter=500):
+def estimate_parameters(interpolated, x_obs, coarse=41):
     """argmin over the model box of ||x_obs - model(mu1, mu2)||_2.
 
     A coarse scan over a ``coarse`` x ``coarse`` grid seeds a box-clamped
@@ -101,8 +101,7 @@ def estimate_parameters(interpolated, x_obs, coarse=41, max_iter=500):
                 x_obs - interpolated.mode_vectors @ (w1 * interpolated.spline2(mu2))))
             if value < best[0]:
                 best = (value, float(mu1), float(mu2))
-    point, value = _nelder_mead(objective, np.array(best[1:]), interpolated.box,
-                                max_iter=max_iter)
+    point, value = _nelder_mead(objective, np.array(best[1:]), interpolated.box)
     if best[0] < value:
         point, value = np.array(best[1:]), best[0]
     return float(point[0]), float(point[1]), value
@@ -152,43 +151,36 @@ def _shrunk_box(original, center, half_widths):
 
 def refine_estimate(problem, x_obs, runs=3, n1=7, n2=7, shrink=0.5,
                     sweep_tol=1e-8, k_max=300, eps_node=1e-3, max_modes=50,
-                    decompose_opts=None, true_parameters=None):
+                    true_parameters=None):
     """Multi-run estimation: sample a sparse cross, build and interpolate
     the model, estimate, then halve the box around the estimate and repeat.
 
-    Each run costs two snapshot sweeps (two LU factorizations). ``n1``,
-    ``n2`` and ``eps_node`` may be scalars or per-run sequences. A run
-    whose decomposition fails to converge still estimates with the best
-    available model and is flagged in its record.
+    Each run costs two snapshot sweeps (two LU factorizations), each at
+    snapshot_sweep's default shift for the run's box; ``sweep_info`` records
+    the shift and k of every line. ``n1``, ``n2`` and ``eps_node`` may be
+    scalars or per-run sequences. A run whose decomposition fails to
+    converge still estimates with the best available model and is flagged
+    in its record.
     """
     box0 = problem.box
     box = box0
     n1s = list(n1) if np.iterable(n1) else [n1] * runs
     n2s = list(n2) if np.iterable(n2) else [n2] * runs
     eps = list(eps_node) if np.iterable(eps_node) else [eps_node] * runs
-    opts = decompose_opts or {}
     records = []
     for run in range(runs):
         nodes = hopgd.sparse_cross_nodes(box, n1s[run], n2s[run])
         mu1_star, mu2_star = nodes.anchors
-        lines = []
-        sweep_info = []
-        for fixed_axis, fixed_value, values in (
-            (2, mu2_star, nodes.mu1_values),
-            (1, mu1_star, nodes.mu2_values),
-        ):
-            interval = (values[0], values[-1])
-            line = krylov.snapshot_sweep(
-                problem, fixed_axis, fixed_value, values,
-                sigma=krylov.default_sigma(interval),
-                tol=sweep_tol, k_max=k_max)
-            lines.append(line)
-            sweep_info.append({"fixed_axis": fixed_axis,
-                               "fixed_value": fixed_value,
-                               "sigma": line.sigma, "k": line.k})
+        lines = [krylov.snapshot_sweep(problem, fixed_axis, fixed_value, values,
+                                       tol=sweep_tol, k_max=k_max)
+                 for fixed_axis, fixed_value, values in (
+                     (2, mu2_star, nodes.mu1_values),
+                     (1, mu1_star, nodes.mu2_values))]
+        sweep_info = [{"fixed_axis": line.fixed_axis,
+                       "fixed_value": line.fixed_value,
+                       "sigma": line.sigma, "k": line.k} for line in lines]
         tensor = hopgd.SnapshotTensor.from_lines(nodes, lines)
-        model = hopgd.decompose(tensor, eps_node=eps[run], max_modes=max_modes,
-                                **opts)
+        model = hopgd.decompose(tensor, eps_node=eps[run], max_modes=max_modes)
         interpolated = rom.interpolate_model(model)
         mu1_hat, mu2_hat, objective = estimate_parameters(interpolated, x_obs)
         record = EstimationRun(

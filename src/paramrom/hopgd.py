@@ -11,11 +11,10 @@ tight fixed point computes the best rank-one fit of the cross data, but
 on cross sampling those optima systematically develop huge opposite
 scale factors (tiny at the anchor, huge at the ends) whose products
 cancel on the sampled lines yet explode between them; the resulting
-models interpolate the nodes and are useless elsewhere. The default here
-therefore seeds every mode at the worst node and accepts it after a
-single update sweep (max_inner=1), a greedy-pivot regime that converges
-node errors AND preserves off-node accuracy.
-Deeper fixed-point iteration remains available via max_inner/eps settings.
+models interpolate the nodes and are useless elsewhere. Every mode is
+therefore seeded at the worst node and accepted after a single update
+sweep, a greedy-pivot regime that converges node errors AND preserves
+off-node accuracy.
 """
 
 from __future__ import annotations
@@ -180,8 +179,8 @@ class SeparatedModel:
     """Sum of rank-one terms: mode_vectors[:, k] * f1[k, i] * f2[k, j].
 
     Mode vectors are stored unit-norm with magnitudes folded into f1.
-    ``log`` records one entry per accepted mode (inner iterations, final
-    fixed-point delta, max node error after acceptance, warnings).
+    ``log`` records one entry per accepted mode (max node error after
+    acceptance, warnings).
     """
 
     nodes: NodeSet
@@ -189,7 +188,6 @@ class SeparatedModel:
     f1: np.ndarray                  # (m, n1)
     f2: np.ndarray                  # (m, n2)
     converged: bool
-    eps_fixed_point: float
     eps_node: float
     log: list = field(default_factory=list)
 
@@ -232,24 +230,21 @@ def _guarded_vec(values, scale):
     return values
 
 
-def decompose(tensor, eps_fixed_point=1e-4, eps_node=1e-3, max_modes=50,
-              max_inner=1, restart_seed=0):
+def decompose(tensor, eps_node=1e-3, max_modes=50, restart_seed=0):
     """Greedy rank-one decomposition of the snapshot tensor.
 
-    Per mode: seed the profile vectors at the worst node, then loop (at
-    most ``max_inner`` times): update the mode vector from all member nodes,
-    then F1 per row and F2 per column by least squares, using the freshest
-    values; declare a fixed point when the relative rank-one change
-    ||old_term - new_term|| / ||new_term|| is below eps_fixed_point at
-    every node. The accepted mode is subtracted from the residuals and the
-    outer loop stops when every node's relative error is below eps_node.
+    Per mode: seed the profile vectors at the worst node, then make one
+    update sweep: the mode vector from all member nodes, then F1 per row
+    and F2 per column by least squares, using the freshest values. The
+    accepted mode is subtracted from the residuals and the outer loop
+    stops when every node's relative error is below eps_node.
 
     A stagnating mode (vanishing update denominator) is retried once from
     a perturbed initialization (seeded); if it stagnates again the model
     is returned with converged=False so the caller can resample snapshots.
     """
-    if max_inner < 1 or max_modes < 1:
-        raise ValueError("max_inner and max_modes must be at least 1")
+    if max_modes < 1:
+        raise ValueError("max_modes must be at least 1")
     nodes = tensor.nodes
     n1, n2 = nodes.n1, nodes.n2
     I = np.array([m[0] for m in nodes.members])
@@ -270,14 +265,12 @@ def decompose(tensor, eps_fixed_point=1e-4, eps_node=1e-3, max_modes=50,
             break
         init = _initial_profiles(node_err, I, J, n1, n2, nodes)
         try:
-            phi, F1, F2, inner, delta = _fit_mode(
-                R, I, J, n1, n2, init, eps_fixed_point, max_inner)
+            phi, F1, F2 = _fit_mode(R, I, J, n1, n2, init)
         except _Stagnation:
             perturbed = (init[0] + 0.01 * rng.standard_normal(n1),
                          init[1] + 0.01 * rng.standard_normal(n2))
             try:
-                phi, F1, F2, inner, delta = _fit_mode(
-                    R, I, J, n1, n2, perturbed, eps_fixed_point, max_inner)
+                phi, F1, F2 = _fit_mode(R, I, J, n1, n2, perturbed)
             except _Stagnation:
                 log.append({"mode": len(modes) + 1, "event": "stagnated",
                             "max_node_error": float(node_err.max())})
@@ -288,9 +281,7 @@ def decompose(tensor, eps_fixed_point=1e-4, eps_node=1e-3, max_modes=50,
         f1s.append(F1 * scale)
         f2s.append(F2.copy())
         new_err = (np.linalg.norm(R, axis=1) / norms).max()
-        entry = {"mode": len(modes), "inner_iterations": inner,
-                 "fixed_point_delta": float(delta),
-                 "max_node_error": float(new_err)}
+        entry = {"mode": len(modes), "max_node_error": float(new_err)}
         if new_err > 1.01 * prev_max_err:
             entry["warning"] = "max node error grew by more than 1%"
             warnings.warn(
@@ -315,7 +306,6 @@ def decompose(tensor, eps_fixed_point=1e-4, eps_node=1e-3, max_modes=50,
         f1=np.array(f1s),
         f2=np.array(f2s),
         converged=converged,
-        eps_fixed_point=eps_fixed_point,
         eps_node=eps_node,
         log=log,
     )
@@ -333,38 +323,20 @@ def _initial_profiles(node_err, I, J, n1, n2, nodes):
     return F1, F2
 
 
-def _fit_mode(R, I, J, n1, n2, init, eps_fixed_point, max_inner):
-    F1 = init[0].astype(np.float64, copy=True)
-    F2 = init[1].astype(np.float64, copy=True)
-    phi_old = np.zeros(R.shape[1])
-    F1_old, F2_old = F1.copy(), F2.copy()
-    delta = np.inf
-    for inner in range(1, max_inner + 1):
-        coef = F1[I] * F2[J]
-        den = _guarded(coef @ coef, float((coef * coef).max()))
-        phi = (R.T @ coef) / den
-        proj = R @ phi
-        p2 = _guarded(phi @ phi, float(np.abs(phi).max() ** 2 or 1.0))
-        den1 = p2 * np.bincount(I, weights=F2[J] ** 2, minlength=n1)
-        _guarded_vec(den1, float(np.abs(den1).max()))
-        F1 = np.bincount(I, weights=F2[J] * proj, minlength=n1) / den1
-        den2 = p2 * np.bincount(J, weights=F1[I] ** 2, minlength=n2)
-        _guarded_vec(den2, float(np.abs(den2).max()))
-        F2 = np.bincount(J, weights=F1[I] * proj, minlength=n2) / den2
-        # Fixed point: per-node norm of old term minus new term, relative
-        # to the new term, from three precomputed inner products.
-        a = F1_old[I] * F2_old[J]
-        b = F1[I] * F2[J]
-        d2 = a * a * (phi_old @ phi_old) - 2.0 * a * b * (phi_old @ phi) + b * b * p2
-        dist = np.sqrt(np.maximum(d2, 0.0))
-        term = np.sqrt(p2) * np.abs(b)
-        floor = 1e-14 * float(term.max()) + 1e-300
-        delta = float((dist / np.maximum(term, floor)).max())
-        if delta < eps_fixed_point:
-            break
-        phi_old = phi
-        F1_old, F2_old = F1.copy(), F2.copy()
-    return phi, F1, F2, inner, delta
+def _fit_mode(R, I, J, n1, n2, init):
+    F1, F2 = init
+    coef = F1[I] * F2[J]
+    den = _guarded(coef @ coef, float((coef * coef).max()))
+    phi = (R.T @ coef) / den
+    proj = R @ phi
+    p2 = _guarded(phi @ phi, float(np.abs(phi).max() ** 2 or 1.0))
+    den1 = p2 * np.bincount(I, weights=F2[J] ** 2, minlength=n1)
+    _guarded_vec(den1, float(np.abs(den1).max()))
+    F1 = np.bincount(I, weights=F2[J] * proj, minlength=n1) / den1
+    den2 = p2 * np.bincount(J, weights=F1[I] ** 2, minlength=n2)
+    _guarded_vec(den2, float(np.abs(den2).max()))
+    F2 = np.bincount(J, weights=F1[I] * proj, minlength=n2) / den2
+    return phi, F1, F2
 
 
 def save_model(model, directory, extra=None):
@@ -379,7 +351,6 @@ def save_model(model, directory, extra=None):
         "f1": model.f1.tolist(),
         "f2": model.f2.tolist(),
         "converged": model.converged,
-        "eps_fixed_point": model.eps_fixed_point,
         "eps_node": model.eps_node,
         "log": model.log,
         "phi": "phi.f64le",
@@ -402,7 +373,6 @@ def load_model(directory):
         f1=np.asarray(doc["f1"], dtype=np.float64),
         f2=np.asarray(doc["f2"], dtype=np.float64),
         converged=bool(doc["converged"]),
-        eps_fixed_point=float(doc["eps_fixed_point"]),
         eps_node=float(doc["eps_node"]),
         log=doc.get("log", []),
     )

@@ -181,17 +181,17 @@ class SnapshotLine:
 
 
 def snapshot_sweep(problem, fixed_axis, fixed_value, free_values, sigma=None,
-                   tol=1e-8, k_max=300, check_every=1, cheb_tol=1e-13,
-                   verify_residual=True):
+                   tol=1e-8, k_max=300):
     """Generate all snapshots on one parameter line from a single Krylov
     basis (exactly one LU factorization).
 
-    Grows the subspace until the cheap residual estimate is below ``tol``
-    for every requested value (checked every ``check_every`` steps; the
-    checks are k x k solves, so per-step checking costs little and avoids
-    steps past convergence) or k_max is reached, then materializes the
-    solutions. Raises NoConvergenceError (with the partial SnapshotLine
-    attached) when some values remain above tolerance at k_max, and
+    The shift defaults to default_sigma of [min, max] of the free values.
+    Grows the subspace one step at a time until the cheap residual
+    estimate is below ``tol`` for every requested value (each check is a
+    k x k solve per value) or k_max is reached, then materializes the
+    solutions and confirms the estimate against one explicit residual.
+    Raises NoConvergenceError (with the partial SnapshotLine attached)
+    when some values remain above tolerance at k_max, and
     SingularShiftError when the projected system at some value is
     singular.
     """
@@ -201,25 +201,27 @@ def snapshot_sweep(problem, fixed_axis, fixed_value, free_values, sigma=None,
     if free_values.min() < lo or free_values.max() > hi:
         raise ValueError("free values outside the parameter box")
     if sigma is None:
-        sigma = default_sigma((lo, hi))
+        sigma = default_sigma((free_values.min(), free_values.max()))
 
-    operator = ChebyshevOperator(problem, fixed_axis, fixed_value, tol=cheb_tol)
+    operator = ChebyshevOperator(problem, fixed_axis, fixed_value)
     pencil = CompanionPencil(operator, sigma)
-    state = _grow_until(ShiftedKrylov(pencil, problem.b), free_values, tol,
-                        k_max, check_every)
+    state = ShiftedKrylov(pencil, problem.b)
+    while state.k < k_max and not state.exhausted:
+        state.grow(1)
+        if max(state.residual_estimate(mu) for mu in free_values) < tol:
+            break
 
     residuals = np.array([state.residual_estimate(mu) for mu in free_values])
     snaps = np.array([state.evaluate(mu) for mu in free_values])
     converged = residuals < tol
-    if verify_residual and residuals.size:
-        # One extra solve pair: confirm the cheap estimate against the
-        # explicitly computed residual at the worst value.
-        worst = int(np.argmax(residuals))
-        explicit = state.explicit_residual(free_values[worst])
-        if abs(explicit - residuals[worst]) > 100.0 * tol:
-            warnings.warn(
-                "residual estimate %.2e disagrees with explicit residual %.2e"
-                % (residuals[worst], explicit), stacklevel=2)
+    # One extra solve pair: confirm the cheap estimate against the
+    # explicitly computed residual at the worst value.
+    worst = int(np.argmax(residuals))
+    explicit = state.explicit_residual(free_values[worst])
+    if abs(explicit - residuals[worst]) > 100.0 * tol:
+        warnings.warn(
+            "residual estimate %.2e disagrees with explicit residual %.2e"
+            % (residuals[worst], explicit), stacklevel=2)
 
     line = SnapshotLine(
         fixed_axis=fixed_axis,
@@ -245,12 +247,3 @@ def snapshot_sweep(problem, fixed_axis, fixed_value, free_values, sigma=None,
             detail={"unconverged": bad},
         )
     return line
-
-
-def _grow_until(state, free_values, tol, k_max, check_every):
-    while state.k < k_max and not state.exhausted:
-        state.grow(min(check_every, k_max - state.k))
-        worst = max(state.residual_estimate(mu) for mu in free_values)
-        if worst < tol:
-            break
-    return state

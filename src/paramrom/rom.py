@@ -35,7 +35,6 @@ class InterpolatedModel:
         self.meta = {
             "interpolation": "natural_cubic_spline",
             "eps_node": model.eps_node,
-            "eps_fixed_point": model.eps_fixed_point,
             "converged": model.converged,
         }
 

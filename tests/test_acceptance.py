@@ -66,7 +66,7 @@ def test_criterion_1_chebyshev_fidelity():
 def test_criterion_2_linearization_equivalence():
     t0 = time.perf_counter()
     p = helmholtz_2d("sim1", 10)  # n = 100
-    op = ChebyshevOperator(p, 2, 1.5, tol=1e-13)
+    op = ChebyshevOperator(p, 2, 1.5)
     rng = np.random.default_rng(7)
     c = np.zeros(op.degree * p.n)
     c[-p.n:] = p.b

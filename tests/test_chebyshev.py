@@ -65,7 +65,7 @@ class TestOperator:
 
     def test_action_agreement_random_mu(self, rng):
         p = helmholtz_2d("sim2", 4)
-        op = ChebyshevOperator(p, 1, 1.25, tol=1e-13)
+        op = ChebyshevOperator(p, 1, 1.25)
         scale = max(np.abs(A.toarray()).max() for A in p.matrices) * 10
         for mu2 in rng.uniform(1, 2, 33):
             v = rng.standard_normal(p.n)

@@ -29,6 +29,39 @@ def test_config_rejects_unknown_keys():
         RunConfig.from_dict({"unknown": 1})
 
 
+@pytest.mark.parametrize("section, key", [
+    ("sweep", "tolx"), ("nodes", "n3"), ("decompose", "max_inner"),
+    ("decompose", "eps_fixed_point")])
+def test_config_rejects_unknown_nested_keys(section, key):
+    with pytest.raises(ValueError, match=key):
+        RunConfig.from_dict({section: {key: 1}})
+
+
+def test_config_problem_keys_unchecked():
+    cfg = RunConfig.from_dict({"problem": {"dir": "somewhere"}})
+    assert cfg.problem["dir"] == "somewhere"
+
+
+@pytest.mark.parametrize("sigma", [[1.48, 1.5], "1.48", True])
+def test_config_sigma_must_be_number(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        RunConfig.from_dict({"sweep": {"sigma": sigma}})
+
+
+@pytest.mark.parametrize("section", [
+    {"sweep": {"sigma": [1.48]}}, {"decompose": {"max_inner": 1}},
+    {"sweep": [1.48]}])
+def test_snapshots_bad_config_exit_code(tmp_path, capsys, section):
+    path = str(tmp_path / "cfg.json")
+    storage.save_json(path, {
+        "problem": {"name": "helmholtz_sim1", "grid_n": 6},
+        "outdir": str(tmp_path / "snaps")} | section)
+    assert cli.main(["snapshots", "--config", path]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["type"] == "ValueError"
+    assert not os.path.exists(tmp_path / "snaps")
+
+
 def test_snapshots_cross_layout(tmp_path, capsys):
     cfg = small_cross_config(tmp_path)
     assert cli.cmd_snapshots(cfg) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from paramrom import hopgd
+from paramrom import hopgd, storage
 from paramrom.errors import AnchorOffGridError, NodeNotMemberError
 from paramrom.hopgd import (NodeSet, SeparatedModel, SnapshotTensor, decompose,
                             eval_at_node, full_grid_nodes, node_residual,
@@ -162,8 +162,7 @@ class TestDecompose:
         model = decompose(separable_tensor(nodes))
         assert len(model.log) >= model.rank
         entry = model.log[0]
-        assert {"mode", "inner_iterations", "fixed_point_delta",
-                "max_node_error"} <= set(entry)
+        assert {"mode", "max_node_error"} <= set(entry)
 
 
 class TestReduction:
@@ -249,7 +248,7 @@ class TestModelEval:
         empty = SeparatedModel(
             nodes=nodes, mode_vectors=np.zeros((20, 1)),
             f1=np.zeros((1, 3)), f2=np.zeros((1, 3)), converged=False,
-            eps_fixed_point=1e-4, eps_node=1e-3)
+            eps_node=1e-3)
         for node in nodes.members:
             assert np.array_equal(node_residual(empty, node, tensor),
                                   tensor.snapshot(node))
@@ -273,3 +272,21 @@ class TestPersistence:
         assert back.nodes.members == model.nodes.members
         assert doc["problem"] == {"name": "x"}
         assert doc["interpolation"] == "natural_cubic_spline"
+
+    def test_loads_model_with_fixed_point_key(self, tmp_path):
+        # Model directories written before the fixed-point iteration was
+        # removed still carry "eps_fixed_point" in model.json.
+        nodes = sparse_cross_nodes(((0, 1), (0, 1)), 5, 5)
+        model = decompose(separable_tensor(nodes))
+        directory = tmp_path / "model"
+        hopgd.save_model(model, directory)
+        doc = storage.load_json(directory / "model.json")
+        doc["eps_fixed_point"] = 1e-4
+        storage.save_json(directory / "model.json", doc)
+        back, _ = hopgd.load_model(directory)
+        assert np.array_equal(back.mode_vectors, model.mode_vectors)
+        assert np.array_equal(back.f1, model.f1)
+        assert np.array_equal(back.f2, model.f2)
+        assert back.nodes.to_dict() == model.nodes.to_dict()
+        assert (back.converged, back.eps_node, back.log) == (
+            model.converged, model.eps_node, model.log)

@@ -197,6 +197,14 @@ class TestSweep:
         assert default_sigma((0.0, 0.5)) == pytest.approx(0.255)
         assert default_sigma((1.0, 2.0)) == pytest.approx(1.51)
 
+    def test_default_sigma_from_free_values(self):
+        # A sweep over part of the box shifts at the free values' own
+        # interval, whatever their order, not at the box's.
+        p = advection_diffusion_1d(99, 0.01)
+        values = np.linspace(0.1, 0.3, 5)[[3, 0, 4, 1, 2]]
+        line = snapshot_sweep(p, 2, 0.25, values)
+        assert line.sigma == default_sigma((values.min(), values.max()))
+
     def test_sim3_line_near_breakdown_config(self):
         # Regression: sim3 n=50 with sigma = 0.51 broke two-sided Lanczos
         # down twice; the Arnoldi sweep must finish without any warning.

@@ -36,7 +36,7 @@ class TestInterpolation:
         model = SeparatedModel(
             nodes=nodes, mode_vectors=(phi / np.linalg.norm(phi))[:, None],
             f1=np.full((1, 5), 2.0), f2=np.full((1, 5), 3.0),
-            converged=True, eps_fixed_point=1e-4, eps_node=1e-3)
+            converged=True, eps_node=1e-3)
         im = interpolate_model(model)
         ref = im(0.0, 0.0)
         for mu1, mu2 in [(0.3, 0.7), (1.0, 0.1), (0.5, 0.5)]:
@@ -82,7 +82,7 @@ class TestInterpolation:
         doubled = SeparatedModel(
             nodes=model.nodes, mode_vectors=model.mode_vectors,
             f1=2.0 * model.f1, f2=model.f2, converged=model.converged,
-            eps_fixed_point=model.eps_fixed_point, eps_node=model.eps_node)
+            eps_node=model.eps_node)
         im2 = interpolate_model(doubled)
         x = im(0.3, 0.2)
         assert np.allclose(im2(0.3, 0.2), 2.0 * x, rtol=1e-12)
