@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -51,8 +52,11 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d):
         """Merge ``d`` over the defaults. The keys of ``nodes``, ``sweep``
-        and ``decompose`` must be known; ``problem`` keys are not checked,
-        because they differ between presets and problem directories."""
+        and ``decompose`` must be known. A ``problem`` that names a preset or
+        a ``dir`` replaces the default problem, so no other preset's keys
+        carry over; its keys are checked by the preset that builds it
+        (``problems.from_config``). ``box`` must be null or
+        [[a1, b1], [a2, b2]] of finite numbers with a < b."""
         cfg = cls()
         for key, value in d.items():
             if not hasattr(cfg, key):
@@ -65,8 +69,13 @@ class RunConfig:
                 if key != "problem" and unknown:
                     raise ValueError("unknown %s config key %r"
                                      % (key, unknown[0]))
+                if key == "problem" and {"name", "dir"} & set(value):
+                    default = {}
                 value = default | value
             setattr(cfg, key, value)
+        if cfg.box is not None and not _is_box(cfg.box):
+            raise ValueError("box must be null or [[a1, b1], [a2, b2]] of finite "
+                             "numbers with a < b, got %r" % (cfg.box,))
         sigma = cfg.sweep["sigma"]
         if sigma is not None and type(sigma) not in (int, float):
             raise ValueError("sweep.sigma must be null or a number, got %r"
@@ -76,6 +85,16 @@ class RunConfig:
     @classmethod
     def load(cls, path):
         return cls.from_dict(storage.load_json(path))
+
+
+def _is_box(box):
+    """True for [[a1, b1], [a2, b2]] of finite numbers with a < b."""
+    def is_interval(side):
+        return (isinstance(side, (list, tuple)) and len(side) == 2
+                and all(type(v) in (int, float) and math.isfinite(v) for v in side)
+                and side[0] < side[1])
+    return (isinstance(box, (list, tuple)) and len(box) == 2
+            and all(map(is_interval, box)))
 
 
 def _build_problem(cfg):
@@ -317,7 +336,8 @@ def _parser():
 
     def add_config(sp):
         sp.add_argument("--config", help="JSON config file (RunConfig schema)")
-        sp.add_argument("--problem", help="preset name")
+        sp.add_argument("--problem", help="preset name; naming another preset "
+                        "than the config's drops the config's problem keys")
         sp.add_argument("--grid-n", type=int)
         sp.add_argument("--dt", type=float)
         sp.add_argument("--kind", choices=["sparse_cross", "full_grid"])
@@ -371,8 +391,9 @@ def _parser():
 
 def _config_from_args(args):
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    if args.problem:
-        cfg.problem["name"] = args.problem
+    if args.problem and args.problem != cfg.problem.get("name"):
+        # Another preset's keys (such as the default's dt) do not carry over.
+        cfg.problem = {"name": args.problem}
     if args.grid_n is not None:
         cfg.problem["grid_n"] = args.grid_n
     if args.dt is not None:

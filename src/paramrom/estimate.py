@@ -79,6 +79,27 @@ def _nelder_mead(f, x0, box):
     return simplex[best], float(values[best])
 
 
+def reduced_misfit(interpolated, x_obs):
+    """f(w) = ||x_obs - mode_vectors @ w||_2 in the model's r coordinates.
+
+    With the model's thin QR mode_vectors = QR and z = Q^T x_obs, the misfit
+    is sqrt(||z - R w||^2 + c) where c = ||x_obs - Q z||^2 is the part of
+    x_obs outside the mode span. c is taken from that residual vector, not
+    as ||x_obs||^2 - ||z||^2, which cancels. ``w`` may hold any number of
+    weight vectors along leading axes, shape (..., r); each costs O(r^2).
+    """
+    q, r = interpolated.q, interpolated.r
+    z = q.T @ x_obs
+    outside = x_obs - q @ z
+    c = float(outside @ outside)
+
+    def misfit(w):
+        d = z - w @ r.T
+        return np.sqrt(np.einsum("...i,...i->...", d, d) + c)
+
+    return misfit
+
+
 def estimate_parameters(interpolated, x_obs, coarse=41):
     """argmin over the model box of ||x_obs - model(mu1, mu2)||_2.
 
@@ -86,25 +107,28 @@ def estimate_parameters(interpolated, x_obs, coarse=41):
     Nelder-Mead refinement; the returned objective never exceeds the best
     scanned value. The objective may be multimodal; the multi-run zoom
     workflow below is the remedy, not a failure condition here.
+
+    Both stages run in the model's r coordinates (``reduced_misfit``, on
+    the thin QR that each model takes once at O(n * rank^2)): O(n * rank)
+    to project x_obs, then O(rank^2) per scan point and per Nelder-Mead
+    call. The scan is one array operation on the splines of each axis at
+    the grid values. The returned objective is recomputed once in full
+    space at the returned point. No linear system is factored or solved.
     """
     x_obs = np.asarray(x_obs, dtype=np.float64)
     (a1, b1), (a2, b2) = interpolated.box
-
-    def objective(point):
-        return float(np.linalg.norm(x_obs - interpolated(point[0], point[1])))
-
-    best = (np.inf, a1, a2)
-    for mu1 in np.linspace(a1, b1, coarse):
-        w1 = interpolated.spline1(mu1)
-        for mu2 in np.linspace(a2, b2, coarse):
-            value = float(np.linalg.norm(
-                x_obs - interpolated.mode_vectors @ (w1 * interpolated.spline2(mu2))))
-            if value < best[0]:
-                best = (value, float(mu1), float(mu2))
-    point, value = _nelder_mead(objective, np.array(best[1:]), interpolated.box)
-    if best[0] < value:
-        point, value = np.array(best[1:]), best[0]
-    return float(point[0]), float(point[1]), value
+    misfit = reduced_misfit(interpolated, x_obs)
+    grid1 = np.linspace(a1, b1, coarse)
+    grid2 = np.linspace(a2, b2, coarse)
+    scan = misfit(interpolated.spline1(grid1)[:, None] * interpolated.spline2(grid2))
+    i, j = np.unravel_index(np.argmin(scan), scan.shape)
+    start = np.array([grid1[i], grid2[j]])
+    point, value = _nelder_mead(lambda p: float(misfit(interpolated.weights(p[0], p[1]))),
+                                start, interpolated.box)
+    if scan[i, j] < value:
+        point = start
+    mu1, mu2 = float(point[0]), float(point[1])
+    return mu1, mu2, float(np.linalg.norm(x_obs - interpolated(mu1, mu2)))
 
 
 @dataclass

@@ -87,6 +87,13 @@ class CubicSpline:
     for 2 knots, quadratic for 3). Evaluation outside the knot range
     raises OutOfRangeError; the parameter domain is a closed box and
     extrapolation is never meaningful here.
+
+    The fit is stored as a table of cubic coefficients per interval in the
+    local variable t = x - knots[i], plus a zero-width row at the last
+    knot, so every knot returns its stored value exactly. A call is one
+    ``searchsorted`` and a Horner step, for a scalar x (result shaped like
+    one row of ``values``) or a 1-D array of p points (result (p,) or
+    (p, m)).
     """
 
     def __init__(self, knots, values):
@@ -96,51 +103,40 @@ class CubicSpline:
         if np.any(np.diff(x) <= 0):
             raise ValueError("knots must be strictly increasing")
         y = np.asarray(values, dtype=np.float64)
-        self._scalar = y.ndim == 1
-        if self._scalar:
-            y = y[:, None]
-        if y.shape[0] != x.shape[0]:
+        if y.ndim not in (1, 2) or y.shape[0] != x.shape[0]:
             raise ValueError("values length does not match knots")
         self.knots = x
         self.values = y
         k = x.shape[0]
-        if k < 4:
-            # Interpolating polynomial, centered for conditioning.
-            self._center = x.mean()
-            V = np.vander(x - self._center, k, increasing=True)
-            self._poly = np.linalg.solve(V, y)       # (deg+1, m)
-            self.second_derivatives = None
-            return
-        h = np.diff(x)                                # (k-1,)
-        rhs = (y[2:] - y[1:-1]) / h[1:, None] - (y[1:-1] - y[:-2]) / h[:-1, None]
-        diag = (h[:-1] + h[1:]) / 3.0
-        off = h[1:-1] / 6.0
+        h = np.diff(x).reshape((k - 1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / h
+        # Second derivatives at the knots: natural spline for 4+ knots, and
+        # below that the interpolating polynomial's constant one (zero for a
+        # line), so both fill the same table.
         M = np.zeros_like(y)
-        M[1:-1] = _thomas_spd(off, diag, off, rhs)    # natural: M[0] = M[-1] = 0
-        self.second_derivatives = M
-        self._h = h
+        if k == 3:
+            M[:] = 2.0 * (slope[1] - slope[0]) / (x[2] - x[0])
+        elif k >= 4:
+            rhs = slope[1:] - slope[:-1]
+            diag = (h[:-1] + h[1:]) / 3.0
+            off = h[1:-1] / 6.0
+            M[1:-1] = _thomas_spd(off, diag, off, rhs)
+        b, c, d = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
+        b[:-1] = slope - h * (2.0 * M[:-1] + M[1:]) / 6.0
+        c[:-1] = 0.5 * M[:-1]
+        d[:-1] = (M[1:] - M[:-1]) / (6.0 * h)
+        # Stored with the knot axis last, so that indexing it with an array
+        # of intervals broadcasts against the array of local variables t.
+        self._coefficients = tuple(np.ascontiguousarray(a.T) for a in (y, b, c, d))
 
     def __call__(self, x):
         xs = self.knots
-        if x < xs[0] or x > xs[-1]:
+        x = np.asarray(x, dtype=np.float64)
+        if not (xs[0] <= x.min() and x.max() <= xs[-1]):
             raise OutOfRangeError(
-                "x=%g outside interpolation range [%g, %g]" % (x, xs[0], xs[-1])
+                "x=%s outside interpolation range [%g, %g]" % (x, xs[0], xs[-1])
             )
-        if self.second_derivatives is None:
-            t = x - self._center
-            out = self._poly[-1].copy()
-            for c in self._poly[-2::-1]:
-                out = out * t + c
-            return out[0] if self._scalar else out
-        i = int(np.searchsorted(xs, x, side="right")) - 1
-        i = min(max(i, 0), xs.shape[0] - 2)
-        h = self._h[i]
-        a = xs[i + 1] - x
-        b = x - xs[i]
-        M0 = self.second_derivatives[i]
-        M1 = self.second_derivatives[i + 1]
-        y0 = self.values[i]
-        y1 = self.values[i + 1]
-        out = (M0 * a**3 + M1 * b**3) / (6.0 * h) \
-            + (y0 / h - M0 * h / 6.0) * a + (y1 / h - M1 * h / 6.0) * b
-        return out[0] if self._scalar else out
+        i = xs.searchsorted(x, side="right") - 1
+        t = x - xs[i]
+        a, b, c, d = self._coefficients
+        return (((d[..., i] * t + c[..., i]) * t + b[..., i]) * t + a[..., i]).T

@@ -246,13 +246,16 @@ def advection_diffusion_1d(grid_n, dt):
                         name="advection_diffusion")
 
 
+# Preset name -> (builder from the config dict, the config keys it knows).
 _PRESETS = {
-    "helmholtz_sim1": lambda cfg: helmholtz_2d("sim1", cfg.get("grid_n", 20)),
-    "helmholtz_sim2": lambda cfg: helmholtz_2d("sim2", cfg.get("grid_n", 20)),
-    "helmholtz_sim3": lambda cfg: helmholtz_2d("sim3", cfg.get("grid_n", 20)),
-    "advection_diffusion": lambda cfg: advection_diffusion_1d(
-        cfg.get("grid_n", 999), cfg.get("dt", 0.01)
-    ),
+    "helmholtz_sim1": (lambda cfg: helmholtz_2d("sim1", cfg.get("grid_n", 20)),
+                       {"name", "grid_n"}),
+    "helmholtz_sim2": (lambda cfg: helmholtz_2d("sim2", cfg.get("grid_n", 20)),
+                       {"name", "grid_n"}),
+    "helmholtz_sim3": (lambda cfg: helmholtz_2d("sim3", cfg.get("grid_n", 20)),
+                       {"name", "grid_n"}),
+    "advection_diffusion": (lambda cfg: advection_diffusion_1d(
+        cfg.get("grid_n", 999), cfg.get("dt", 0.01)), {"name", "grid_n", "dt"}),
 }
 
 
@@ -260,13 +263,20 @@ def from_config(cfg):
     """Build a problem from a config dict: a preset name or a directory.
 
     {"name": "<preset>", "grid_n": ..., "dt": ...} or {"dir": "<path>"}.
+    A preset rejects keys it does not know (only advection_diffusion
+    knows ``dt``) with ValueError.
     """
     if "dir" in cfg:
         return load_problem(cfg["dir"])
     name = cfg.get("name")
     if name not in _PRESETS:
         raise ValueError("unknown problem %r (presets: %s)" % (name, sorted(_PRESETS)))
-    return _PRESETS[name](cfg)
+    build, known = _PRESETS[name]
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise ValueError("unknown %s problem key %r (known: %s)"
+                         % (name, unknown[0], sorted(known)))
+    return build(cfg)
 
 
 def save_problem(problem, directory):

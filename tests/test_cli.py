@@ -48,9 +48,32 @@ def test_config_sigma_must_be_number(sigma):
         RunConfig.from_dict({"sweep": {"sigma": sigma}})
 
 
+@pytest.mark.parametrize("box", [
+    [1, 2], [[1, 2]], [[2, 1], [1, 2]], [[1, "2"], [1, 2]],
+    [[1, True], [1, 2]], [[1, float("inf")], [1, 2]], [[1, 2], [1, 2, 3]]])
+def test_config_box_must_be_two_intervals(box):
+    with pytest.raises(ValueError, match="box"):
+        RunConfig.from_dict({"box": box})
+
+
+def test_config_box_accepted():
+    assert RunConfig.from_dict({"box": None}).box is None
+    box = [[1, 1.5], [1.25, 2]]
+    assert RunConfig.from_dict({"box": box}).box == box
+
+
+def test_config_named_problem_replaces_default():
+    cfg = RunConfig.from_dict({"problem": {"name": "helmholtz_sim1"}})
+    assert cfg.problem == {"name": "helmholtz_sim1"}
+    cfg = RunConfig.from_dict({"problem": {"grid_n": 99}})
+    assert cfg.problem == {"name": "advection_diffusion", "grid_n": 99,
+                           "dt": 0.01}
+
+
 @pytest.mark.parametrize("section", [
     {"sweep": {"sigma": [1.48]}}, {"decompose": {"max_inner": 1}},
-    {"sweep": [1.48]}])
+    {"sweep": [1.48]}, {"box": [1, 2]},
+    {"problem": {"name": "helmholtz_sim1", "grid_n": 6, "grid_nn": 4}}])
 def test_snapshots_bad_config_exit_code(tmp_path, capsys, section):
     path = str(tmp_path / "cfg.json")
     storage.save_json(path, {
@@ -60,6 +83,16 @@ def test_snapshots_bad_config_exit_code(tmp_path, capsys, section):
     error = json.loads(capsys.readouterr().err)
     assert error["type"] == "ValueError"
     assert not os.path.exists(tmp_path / "snaps")
+
+
+def test_problem_flag_starts_from_preset_defaults(tmp_path, capsys):
+    # The default config's advection-diffusion dt must not reach a
+    # Helmholtz preset, which rejects it.
+    outdir = str(tmp_path / "snaps")
+    assert cli.main(["snapshots", "--problem", "helmholtz_sim1", "--grid-n",
+                     "6", "--n1", "5", "--n2", "5", "-o", outdir]) == 0
+    manifest = storage.load_json(os.path.join(outdir, "manifest.json"))
+    assert manifest["problem"] == {"name": "helmholtz_sim1", "grid_n": 6}
 
 
 def test_snapshots_cross_layout(tmp_path, capsys):

@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 
 from paramrom import linalg
-from paramrom.estimate import (add_noise, estimate_parameters, refine_estimate)
+from paramrom.estimate import (add_noise, estimate_parameters, reduced_misfit,
+                               refine_estimate)
 from paramrom.hopgd import SnapshotTensor, decompose, sparse_cross_nodes
 from paramrom.krylov import snapshot_sweep
-from paramrom.problems import advection_diffusion_1d, direct_reference_solve
+from paramrom.problems import (advection_diffusion_1d, direct_reference_solve,
+                               helmholtz_2d)
 from paramrom.rom import interpolate_model
+
+
+def cross_rom(problem, n1=5, n2=5):
+    nodes = sparse_cross_nodes(problem.box, n1, n2)
+    mu1_star, mu2_star = nodes.anchors
+    lines = [snapshot_sweep(problem, 2, mu2_star, nodes.mu1_values),
+             snapshot_sweep(problem, 1, mu1_star, nodes.mu2_values)]
+    tensor = SnapshotTensor.from_lines(nodes, lines)
+    return tensor, interpolate_model(decompose(tensor))
 
 
 @pytest.fixture(scope="module")
@@ -16,12 +27,7 @@ def advdiff():
 
 @pytest.fixture(scope="module")
 def advdiff_rom(advdiff):
-    nodes = sparse_cross_nodes(advdiff.box, 5, 5)
-    mu1_star, mu2_star = nodes.anchors
-    lines = [snapshot_sweep(advdiff, 2, mu2_star, nodes.mu1_values),
-             snapshot_sweep(advdiff, 1, mu1_star, nodes.mu2_values)]
-    tensor = SnapshotTensor.from_lines(nodes, lines)
-    return tensor, interpolate_model(decompose(tensor))
+    return cross_rom(advdiff)
 
 
 class TestNoise:
@@ -71,6 +77,33 @@ class TestEstimate:
         for g1 in np.linspace(a1, b1, 21):
             for g2 in np.linspace(a2, b2, 21):
                 assert obj <= np.linalg.norm(x_obs - im(g1, g2)) + 1e-12
+
+
+class TestReducedObjective:
+    @pytest.mark.parametrize("problem, rank", [
+        (helmholtz_2d("sim1", 10), 1), (advection_diffusion_1d(199, 0.01), 5)])
+    def test_scan_matches_full_space(self, problem, rank):
+        _, im = cross_rom(problem)
+        assert im.rank == rank
+        (a1, b1), (a2, b2) = im.box
+        x_obs = direct_reference_solve(problem, 0.37 * a1 + 0.63 * b1,
+                                       0.81 * a2 + 0.19 * b2)
+        grid1, grid2 = np.linspace(a1, b1, 41), np.linspace(a2, b2, 41)
+        scan = reduced_misfit(im, x_obs)(im.spline1(grid1)[:, None]
+                                         * im.spline2(grid2))
+        assert scan.shape == (41, 41)
+        for i, mu1 in enumerate(grid1):
+            for j, mu2 in enumerate(grid2):
+                full = np.linalg.norm(x_obs - im(mu1, mu2))
+                assert abs(scan[i, j] - full) <= 1e-10 * full
+
+    def test_no_factorizations_or_solves(self, advdiff, advdiff_rom):
+        _, im = advdiff_rom
+        x_obs = direct_reference_solve(advdiff, 0.12, 0.34)
+        before = (linalg.factorization_count(), linalg.triangular_solve_count())
+        estimate_parameters(im, x_obs)
+        after = (linalg.factorization_count(), linalg.triangular_solve_count())
+        assert after == before
 
 
 class TestRefine:

@@ -98,6 +98,33 @@ class TestCubicSpline:
         for x, y in zip(xs, ys):
             assert abs(s(x) - y) <= 4 * np.spacing(max(abs(y), 1.0))
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_knot_values_exact_few_knots(self, rng, k):
+        xs = np.linspace(-1, 2, k)
+        Y = rng.standard_normal((k, 3))
+        s = CubicSpline(xs, Y)
+        for x, y in zip(xs, Y):
+            assert np.array_equal(s(x), y)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 8])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_array_call_matches_scalar_calls(self, rng, k, columns):
+        xs = np.sort(rng.uniform(0, 1, k))
+        ys = rng.standard_normal(k if columns is None else (k, columns))
+        s = CubicSpline(xs, ys)
+        points = np.concatenate([np.linspace(xs[0], xs[-1], 41), xs])
+        out = s(points)
+        assert out.shape == (points.shape[0],) + ys.shape[1:]
+        for x, row in zip(points, out):
+            assert np.array_equal(row, s(x))
+
+    def test_array_out_of_range(self):
+        s = CubicSpline(np.linspace(0, 1, 5), np.zeros((5, 2)))
+        for bad in (np.array([0.5, 1.0001]), np.array([-0.0001, 0.5]),
+                    np.array([0.0, 1.0, 2.0])):
+            with pytest.raises(OutOfRangeError):
+                s(bad)
+
     def test_out_of_range(self):
         s = CubicSpline(np.linspace(0, 1, 5), np.zeros(5))
         with pytest.raises(OutOfRangeError):

@@ -176,3 +176,11 @@ class TestPersistence:
         assert q.n == 20
         with pytest.raises(ValueError):
             problems.from_config({"name": "nope"})
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"name": "helmholtz_sim1", "grid_n": 6, "grid_nn": 4}, "grid_nn"),
+        ({"name": "helmholtz_sim3", "grid_n": 4, "dt": 0.01}, "dt"),
+        ({"name": "advection_diffusion", "grid_n": 20, "steps": 2}, "steps")])
+    def test_from_config_rejects_unknown_preset_keys(self, cfg, key):
+        with pytest.raises(ValueError, match=key):
+            problems.from_config(cfg)

@@ -87,6 +87,18 @@ class TestInterpolation:
         x = im(0.3, 0.2)
         assert np.allclose(im2(0.3, 0.2), 2.0 * x, rtol=1e-12)
 
+    def test_rank_one_product_equals_matmul(self, rng):
+        nodes = sparse_cross_nodes(((0, 1), (0, 1)), 5, 5)
+        model = SeparatedModel(
+            nodes=nodes, mode_vectors=rng.standard_normal((30, 1)),
+            f1=rng.standard_normal((1, 5)), f2=rng.standard_normal((1, 5)),
+            converged=True, eps_node=1e-3)
+        im = interpolate_model(model)
+        for mu1, mu2 in [(0.3, 0.7), (1.0, 0.1), (0.0, 0.55)]:
+            x = im(mu1, mu2)
+            assert x.shape == (30,)
+            assert np.array_equal(x, model.mode_vectors @ im.weights(mu1, mu2))
+
     def test_no_solves_online(self, advdiff_model):
         _, _, _, im = advdiff_model
         f0 = linalg.factorization_count()
