@@ -8,7 +8,7 @@ polynomial system P(mu) x = b is equivalent to a block-linear pencil
 recurrence, whose first block of u recovers x. CompanionPencil applies
 K - mu M (K at mu = 0) and M as implicit block operators and solves
 (K - sigma M) u = r with a single n x n LU of P(sigma) per instance (block
-elimination; the adjoint elimination handles the transpose).
+elimination).
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ class CompanionPencil:
             raise ValueError("block vector must have length d*n = %d" % self.block_size)
         return u.reshape(self.d, self.n)
 
-    def apply(self, u, mu, transpose=False):
-        """(K - mu M) u, or (K - mu M)^T u; K is apply(u, 0).
+    def apply(self, u, mu):
+        """(K - mu M) u; K is apply(u, 0).
 
         The first d-1 block rows are the scalar recurrence rows L; the last
         one is sum_j Q_j u_j with Q_j = P_j, except that
@@ -209,36 +209,29 @@ class CompanionPencil:
             L[0, 0] = -s
             Q[d - 2] = P[d - 2] - P[d]
             Q[d - 1] = P[d - 1] + 2.0 * s * P[d]
-        if transpose:
-            out = L.T @ U[:-1]
-            for j in range(d):
-                out[j] += Q[j].T @ U[-1]
-            return out.ravel()
         out = np.empty_like(U)
         out[:-1] = L @ U
         out[-1] = sum(Qj @ Uj for Qj, Uj in zip(Q, U))
         return out.ravel()
 
-    def apply_M(self, u, transpose=False):
-        """M u (or M^T u): scaled identity blocks in the recurrence rows
-        and the leading coefficient P_d in the last row."""
-        d, n, c = self.d, self.n, self.c
+    def apply_M(self, u):
+        """M u: scaled identity blocks in the recurrence rows and the
+        leading coefficient P_d in the last row."""
+        d, c = self.d, self.c
         P = self.operator.matrices
         U = self._blocks(u)
         out = np.empty_like(U)
         if d == 1:
-            Pd = P[1].T if transpose else P[1]
-            out[0] = -(Pd @ U[0]) / c
+            out[0] = -(P[1] @ U[0]) / c
             return out.ravel()
         out[0] = U[0] / c
         for i in range(1, d - 1):
             out[i] = 2.0 * U[i] / c
-        Pd = P[d].T if transpose else P[d]
-        out[d - 1] = -2.0 * (Pd @ U[d - 1]) / c
+        out[d - 1] = -2.0 * (P[d] @ U[d - 1]) / c
         return out.ravel()
 
-    def solve(self, r, transpose=False):
-        """Solve (K - sigma M) u = r (or its transpose) by block elimination.
+    def solve(self, r):
+        """Solve (K - sigma M) u = r by block elimination.
 
         Costs exactly one triangular solve pair with the stored LU of
         P(sigma) plus O(d) sparse products.
@@ -248,42 +241,19 @@ class CompanionPencil:
         P = self.operator.matrices
         R = self._blocks(r)
         if d == 1:
-            out = self.lu.solve(R[0], transpose=transpose)
-            return out.reshape(1, n).ravel()
-        if not transpose:
-            g = np.zeros((d, n))
-            g[1] = R[0]
-            for i in range(2, d):
-                g[i] = R[i - 1] + 2.0 * s * g[i - 1] - g[i - 2]
-            acc = np.zeros(n)
-            for l in range(d):
-                acc += P[l] @ g[l]
-            acc += P[d] @ (2.0 * s * g[d - 1] - g[d - 2])
-            u1 = self.lu.solve(R[d - 1] - acc)
-            out = np.empty((d, n))
-            for i in range(d):
-                out[i] = self.taus[i] * u1 + g[i]
-            return out.ravel()
-        # Adjoint elimination: transpose of the linear map above.
-        v = np.zeros(n)
-        for i in range(d):
-            v += self.taus[i] * R[i]
-        h = self.lu.solve(v, transpose=True)
-        q = np.empty((d, n))
-        for j in range(0, d - 2):
-            q[j] = R[j] - P[j].T @ h
-        q[d - 2] = R[d - 2] - (P[d - 2] - P[d]).T @ h
-        q[d - 1] = R[d - 1] - (P[d - 1] + 2.0 * s * P[d]).T @ h
-        gbar = q
-        rbar = np.zeros((d - 1, n))
-        for i in range(d - 1, 1, -1):
-            rbar[i - 1] += gbar[i]
-            gbar[i - 1] += 2.0 * s * gbar[i]
-            gbar[i - 2] -= gbar[i]
-        rbar[0] += gbar[1]
+            return self.lu.solve(R[0])
+        g = np.zeros((d, n))
+        g[1] = R[0]
+        for i in range(2, d):
+            g[i] = R[i - 1] + 2.0 * s * g[i - 1] - g[i - 2]
+        acc = np.zeros(n)
+        for l in range(d):
+            acc += P[l] @ g[l]
+        acc += P[d] @ (2.0 * s * g[d - 1] - g[d - 2])
+        u1 = self.lu.solve(R[d - 1] - acc)
         out = np.empty((d, n))
-        out[: d - 1] = rbar
-        out[d - 1] = h
+        for i in range(d):
+            out[i] = self.taus[i] * u1 + g[i]
         return out.ravel()
 
     def stack_rhs(self, b):

@@ -106,24 +106,15 @@ def _build_problem(cfg):
 
 def _node_set(cfg, box):
     plan = cfg.nodes
-    kind = plan.get("kind", "sparse_cross")
-    n1, n2 = int(plan.get("n1", 5)), int(plan.get("n2", 5))
+    kind = plan["kind"]
+    n1, n2 = int(plan["n1"]), int(plan["n2"])
     if kind == "sparse_cross":
-        anchors = plan.get("anchors")
+        anchors = plan["anchors"]
         return hopgd.sparse_cross_nodes(box, n1, n2,
                                         tuple(anchors) if anchors else None)
     if kind == "full_grid":
         return hopgd.full_grid_nodes(box, n1, n2)
     raise ValueError("unknown node kind %r" % kind)
-
-
-def _sweep_plan(nodes):
-    """(fixed_axis, fixed_value, free_values) per required sweep."""
-    if nodes.kind == "sparse_cross":
-        mu1_star, mu2_star = nodes.anchors
-        return [(2, mu2_star, nodes.mu1_values),
-                (1, mu1_star, nodes.mu2_values)]
-    return [(2, float(mu2), nodes.mu1_values) for mu2 in nodes.mu2_values]
 
 
 def cmd_snapshots(cfg):
@@ -133,12 +124,12 @@ def cmd_snapshots(cfg):
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
     lines_meta = []
-    for index, (fixed_axis, fixed_value, values) in enumerate(_sweep_plan(nodes)):
+    for index, (fixed_axis, fixed_value, values) in enumerate(nodes.sweeps()):
         line = krylov.snapshot_sweep(
             problem, fixed_axis, fixed_value, values,
-            sigma=cfg.sweep.get("sigma"),
-            tol=float(cfg.sweep.get("tol", 1e-8)),
-            k_max=int(cfg.sweep.get("k_max", 300)),
+            sigma=cfg.sweep["sigma"],
+            tol=float(cfg.sweep["tol"]),
+            k_max=int(cfg.sweep["k_max"]),
         )
         line_dir = os.path.join(outdir, "line_%02d" % index)
         os.makedirs(line_dir, exist_ok=True)
@@ -269,6 +260,12 @@ def cmd_errmap(modeldir, out, grid1=20, grid2=20):
 
 def cmd_estimate(cfg, observed=None, true_mu=None, noise=0.0, runs=3,
                  shrink=0.5, out=None):
+    for key, is_set in (("nodes.kind", cfg.nodes["kind"] != "sparse_cross"),
+                        ("nodes.anchors", cfg.nodes["anchors"] is not None),
+                        ("sweep.sigma", cfg.sweep["sigma"] is not None)):
+        if is_set:
+            raise ValueError("estimate does not support config key %r: each run "
+                             "samples a midpoint cross at the default shift" % key)
     problem = _build_problem(cfg)
     if observed is not None:
         x_obs = storage.load_vector(observed)
@@ -280,12 +277,12 @@ def cmd_estimate(cfg, observed=None, true_mu=None, noise=0.0, runs=3,
         x_obs = est.add_noise(x_obs, noise, seed=cfg.seed)
     records = est.refine_estimate(
         problem, x_obs, runs=runs,
-        n1=int(cfg.nodes.get("n1", 7)), n2=int(cfg.nodes.get("n2", 7)),
+        n1=int(cfg.nodes["n1"]), n2=int(cfg.nodes["n2"]),
         shrink=shrink,
-        sweep_tol=float(cfg.sweep.get("tol", 1e-8)),
-        k_max=int(cfg.sweep.get("k_max", 300)),
-        eps_node=float(cfg.decompose.get("eps_node", 1e-3)),
-        max_modes=int(cfg.decompose.get("max_modes", 50)),
+        sweep_tol=float(cfg.sweep["tol"]),
+        k_max=int(cfg.sweep["k_max"]),
+        eps_node=float(cfg.decompose["eps_node"]),
+        max_modes=int(cfg.decompose["max_modes"]),
         true_parameters=true_mu,
     )
     report = {"runs": [r.to_dict() for r in records],
@@ -321,9 +318,7 @@ def cmd_demo(outdir, seed=42):
     online = time.perf_counter() - t0
 
     true_mu = (0.3, 0.4)
-    est_cfg = RunConfig(seed=seed)
-    est_cfg.nodes["n1"] = est_cfg.nodes["n2"] = 5
-    cmd_estimate(est_cfg, true_mu=true_mu, noise=1e-2, runs=3,
+    cmd_estimate(RunConfig(seed=seed), true_mu=true_mu, noise=1e-2, runs=3,
                  out=os.path.join(outdir, "estimate.json"))
     print(json.dumps({"offline_seconds": offline, "online_seconds": online,
                       "outdir": outdir}))

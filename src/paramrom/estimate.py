@@ -181,34 +181,26 @@ def refine_estimate(problem, x_obs, runs=3, n1=7, n2=7, shrink=0.5,
 
     Each run costs two snapshot sweeps (two LU factorizations), each at
     snapshot_sweep's default shift for the run's box; ``sweep_info`` records
-    the shift and k of every line. ``n1``, ``n2`` and ``eps_node`` may be
-    scalars or per-run sequences. A run whose decomposition fails to
-    converge still estimates with the best available model and is flagged
-    in its record.
+    the shift and k of every line. Every run uses the same ``n1``, ``n2``
+    and ``eps_node``. A run whose decomposition fails to converge still
+    estimates with the best available model and is flagged in its record.
     """
     box0 = problem.box
     box = box0
-    n1s = list(n1) if np.iterable(n1) else [n1] * runs
-    n2s = list(n2) if np.iterable(n2) else [n2] * runs
-    eps = list(eps_node) if np.iterable(eps_node) else [eps_node] * runs
     records = []
     for run in range(runs):
-        nodes = hopgd.sparse_cross_nodes(box, n1s[run], n2s[run])
-        mu1_star, mu2_star = nodes.anchors
-        lines = [krylov.snapshot_sweep(problem, fixed_axis, fixed_value, values,
-                                       tol=sweep_tol, k_max=k_max)
-                 for fixed_axis, fixed_value, values in (
-                     (2, mu2_star, nodes.mu1_values),
-                     (1, mu1_star, nodes.mu2_values))]
+        nodes = hopgd.sparse_cross_nodes(box, n1, n2)
+        lines = [krylov.snapshot_sweep(problem, *sweep, tol=sweep_tol, k_max=k_max)
+                 for sweep in nodes.sweeps()]
         sweep_info = [{"fixed_axis": line.fixed_axis,
                        "fixed_value": line.fixed_value,
                        "sigma": line.sigma, "k": line.k} for line in lines]
         tensor = hopgd.SnapshotTensor.from_lines(nodes, lines)
-        model = hopgd.decompose(tensor, eps_node=eps[run], max_modes=max_modes)
+        model = hopgd.decompose(tensor, eps_node=eps_node, max_modes=max_modes)
         interpolated = rom.interpolate_model(model)
         mu1_hat, mu2_hat, objective = estimate_parameters(interpolated, x_obs)
         record = EstimationRun(
-            index=run + 1, box=box, n1=n1s[run], n2=n2s[run],
+            index=run + 1, box=box, n1=n1, n2=n2,
             rank=model.rank, decomposition_converged=model.converged,
             estimate=(mu1_hat, mu2_hat), objective=objective,
             sweep_info=sweep_info,

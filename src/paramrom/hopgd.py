@@ -59,6 +59,15 @@ class NodeSet:
         return ((float(self.mu1_values[0]), float(self.mu1_values[-1])),
                 (float(self.mu2_values[0]), float(self.mu2_values[-1])))
 
+    def sweeps(self):
+        """(fixed_axis, fixed_value, free_values) of each snapshot line the
+        node set needs: the two anchor lines of a cross, one line per mu2
+        value of a full grid. SnapshotTensor.from_lines is the inverse."""
+        if self.kind == "sparse_cross":
+            mu1_star, mu2_star = self.anchors
+            return [(2, mu2_star, self.mu1_values), (1, mu1_star, self.mu2_values)]
+        return [(2, float(mu2), self.mu1_values) for mu2 in self.mu2_values]
+
     def node_values(self, node):
         i, j = node
         return (float(self.mu1_values[i]), float(self.mu2_values[j]))

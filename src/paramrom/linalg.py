@@ -31,7 +31,7 @@ def triangular_solve_count():
 class LUFactorization:
     """LU factorization of a square sparse matrix with partial pivoting.
 
-    Wraps SuperLU; reusable for repeated solves and transpose solves.
+    Wraps SuperLU; reusable for repeated solves.
     Raises SingularMatrixError when a pivot falls below 1e-14 times the
     largest matrix entry.
     """
@@ -53,12 +53,12 @@ class LUFactorization:
             )
         _COUNTS["factor"] += 1
 
-    def solve(self, rhs, transpose=False):
+    def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape[0] != self.n:
             raise ValueError("rhs length %d does not match matrix size %d" % (rhs.shape[0], self.n))
         _COUNTS["solve"] += 1
-        return self._lu.solve(rhs, trans="T" if transpose else "N")
+        return self._lu.solve(rhs)
 
 
 def _thomas_spd(lower, diag, upper, rhs):

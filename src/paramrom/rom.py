@@ -28,18 +28,12 @@ class InterpolatedModel:
         if model.rank < 1:
             raise ValueError("model needs at least one mode")
         self.mode_vectors = model.mode_vectors
-        self.nodes = model.nodes
         self.box = model.nodes.box
         self.spline1 = CubicSpline(model.nodes.mu1_values, model.f1.T)
         self.spline2 = CubicSpline(model.nodes.mu2_values, model.f2.T)
         # Thin QR of the mode matrix, once per model: the r coordinates in
         # which estimate_parameters measures misfits at O(rank^2) each.
         self.q, self.r = np.linalg.qr(self.mode_vectors)
-        self.meta = {
-            "interpolation": "natural_cubic_spline",
-            "eps_node": model.eps_node,
-            "converged": model.converged,
-        }
 
     @property
     def rank(self):

@@ -198,6 +198,22 @@ def test_estimate_reproducible(tmp_path, capsys):
     assert "rel_err_percent_mu1" in r1["runs"][0]
 
 
+@pytest.mark.parametrize("key, value", [("nodes.kind", "full_grid"),
+                                        ("nodes.anchors", [0.25, 0.25]),
+                                        ("sweep.sigma", 0.3)])
+def test_estimate_rejects_settings_it_ignores(tmp_path, capsys, key, value):
+    # Each zoom run samples a midpoint cross at the default shift.
+    section, name = key.split(".")
+    path = tmp_path / "cfg.json"
+    storage.save_json(path, {"problem": {"name": "advection_diffusion", "grid_n": 80},
+                             section: {name: value}})
+    argv = ["estimate", "--config", str(path), "--true-mu1", "0.3",
+            "--true-mu2", "0.2", "--runs", "1"]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError" and key in err["error"]
+
+
 def test_cli_entry_point_help():
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])

@@ -13,9 +13,7 @@ from paramrom.rom import interpolate_model
 
 def cross_rom(problem, n1=5, n2=5):
     nodes = sparse_cross_nodes(problem.box, n1, n2)
-    mu1_star, mu2_star = nodes.anchors
-    lines = [snapshot_sweep(problem, 2, mu2_star, nodes.mu1_values),
-             snapshot_sweep(problem, 1, mu1_star, nodes.mu2_values)]
+    lines = [snapshot_sweep(problem, *sweep) for sweep in nodes.sweeps()]
     tensor = SnapshotTensor.from_lines(nodes, lines)
     return tensor, interpolate_model(decompose(tensor))
 
@@ -144,11 +142,6 @@ class TestRefine:
         manual = estimate_parameters(im, x_obs)
         assert records[0].estimate[0] == pytest.approx(manual[0], abs=1e-12)
         assert records[0].estimate[1] == pytest.approx(manual[1], abs=1e-12)
-
-    def test_per_run_sizes(self, advdiff):
-        x_obs = direct_reference_solve(advdiff, 0.3, 0.2)
-        records = refine_estimate(advdiff, x_obs, runs=2, n1=[5, 7], n2=[5, 7])
-        assert (records[0].n1, records[1].n1) == (5, 7)
 
     def test_report_dict(self, advdiff):
         x_obs = direct_reference_solve(advdiff, 0.3, 0.2)

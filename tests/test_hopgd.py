@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,19 @@ class TestTensor:
         nodes = sparse_cross_nodes(((0, 1), (0, 1)), 3, 3)
         with pytest.raises(NodeNotMemberError):
             SnapshotTensor(nodes, {(0, 1): np.ones(4)})
+
+    def test_off_centre_cross_from_sweeps(self):
+        # The lines that sweeps() plans give back every member node.
+        nodes = sparse_cross_nodes(((0, 1), (0, 1)), 5, 5, anchors=(0.25, 0.75))
+        assert [s[:2] for s in nodes.sweeps()] == [(2, 0.75), (1, 0.25)]
+        f = lambda mu1, mu2: np.array([1.0, mu1, mu2, mu1 * mu2])
+        lines = [SimpleNamespace(
+            fixed_axis=axis, fixed_value=value, values=values,
+            snapshots=[f(value, mu) if axis == 1 else f(mu, value) for mu in values])
+            for axis, value, values in nodes.sweeps()]
+        tensor = SnapshotTensor.from_lines(nodes, lines)
+        for node in nodes.members:
+            assert np.array_equal(tensor.snapshot(node), f(*nodes.node_values(node)))
 
     def test_non_member_lookup(self):
         nodes = sparse_cross_nodes(((0, 1), (0, 1)), 3, 3)
@@ -229,9 +244,7 @@ class TestRectangularCross:
         p = advection_diffusion_1d(149, 0.01)
         nodes = sparse_cross_nodes(p.box, 5, 7)
         assert len(nodes.members) == 11
-        mu1_star, mu2_star = nodes.anchors
-        lines = [snapshot_sweep(p, 2, mu2_star, nodes.mu1_values),
-                 snapshot_sweep(p, 1, mu1_star, nodes.mu2_values)]
+        lines = [snapshot_sweep(p, *sweep) for sweep in nodes.sweeps()]
         tensor = SnapshotTensor.from_lines(nodes, lines)
         model = decompose(tensor)
         assert model.converged

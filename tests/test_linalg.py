@@ -34,16 +34,6 @@ class TestLU:
             x = F.solve(rhs)
             assert np.linalg.norm(A @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
-    def test_transpose_solve(self, rng):
-        A = random_sparse(rng, 20)
-        S = sp.csr_matrix(A + A.T)
-        F = LUFactorization(S)
-        rhs = rng.standard_normal(20)
-        assert np.allclose(F.solve(rhs), F.solve(rhs, transpose=True))
-        G = LUFactorization(A)
-        w = G.solve(rhs, transpose=True)
-        assert np.linalg.norm(A.T @ w - rhs) <= 1e-10 * np.linalg.norm(rhs)
-
     def test_diagonal(self):
         A = sp.diags([2.0, 4.0]).tocsr()
         assert np.allclose(LUFactorization(A).solve(np.array([2.0, 4.0])), [1.0, 1.0])

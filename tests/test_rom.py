@@ -19,11 +19,7 @@ from test_hopgd import separable_tensor
 def advdiff_model():
     p = advection_diffusion_1d(199, 0.01)
     nodes = sparse_cross_nodes(p.box, 5, 5)
-    mu1_star, mu2_star = nodes.anchors
-    lines = [
-        snapshot_sweep(p, 2, mu2_star, nodes.mu1_values),
-        snapshot_sweep(p, 1, mu1_star, nodes.mu2_values),
-    ]
+    lines = [snapshot_sweep(p, *sweep) for sweep in nodes.sweeps()]
     tensor = SnapshotTensor.from_lines(nodes, lines)
     model = decompose(tensor)
     return p, tensor, model, interpolate_model(model)
@@ -117,9 +113,7 @@ class TestHelmholtzDeskRun:
         p = helmholtz_2d("sim1", 20)
         nodes = sparse_cross_nodes(p.box, 7, 7)
         assert len(nodes.members) == 13
-        mu1_star, mu2_star = nodes.anchors
-        lines = [snapshot_sweep(p, 2, mu2_star, nodes.mu1_values, sigma=1.48),
-                 snapshot_sweep(p, 1, mu1_star, nodes.mu2_values, sigma=1.48)]
+        lines = [snapshot_sweep(p, *sweep, sigma=1.48) for sweep in nodes.sweeps()]
         model = decompose(SnapshotTensor.from_lines(nodes, lines))
         im = interpolate_model(model)
         for point, target in [((1.6, 1.4), 0.015), ((1.45, 1.6), 0.015)]:
