@@ -8,7 +8,8 @@ polynomial system P(mu) x = b is equivalent to a block-linear pencil
 recurrence, whose first block of u recovers x. CompanionPencil applies
 K - mu M (K at mu = 0) and M as implicit block operators and solves
 (K - sigma M) u = r with a single n x n LU of P(sigma) per instance (block
-elimination).
+elimination), for a full block vector or for one whose blocks are given
+in coefficients of an orthonormal n x m basis.
 """
 
 from __future__ import annotations
@@ -125,13 +126,18 @@ class ChebyshevOperator:
         self.scalar_series = series
         d = max(max(s.degree for s in series), 1)
         self.degree = d
+        # coefficients[l, i] is the T_l coefficient of term i (zero padded),
+        # so that P_l = sum_i coefficients[l, i] A_i.
+        self.coefficients = np.zeros((d + 1, len(series)))
+        for i, s in enumerate(series):
+            self.coefficients[: s.degree + 1, i] = s.coefficients
         n = problem.n
         mats = []
-        for l in range(d + 1):
+        for row in self.coefficients:
             A = None
-            for s, M in zip(series, problem.matrices):
-                if l <= s.degree and s.coefficients[l] != 0.0:
-                    term = M * s.coefficients[l]
+            for a, M in zip(row, problem.matrices):
+                if a != 0.0:
+                    term = M * a
                     A = term if A is None else A + term
             mats.append(sp.csr_matrix((n, n)) if A is None else sp.csr_matrix(A))
         self.matrices = mats
@@ -179,6 +185,11 @@ class CompanionPencil:
             taus.append(2.0 * s * taus[-1] - taus[-2])
         # tau_l = T_l(sigma/c), l = 0..d: recurrence scalars of the solve
         self.taus = np.array(taus[: self.d + 1])
+        # Terms whose coefficient varies along the line, with their T_1..T_d
+        # coefficients; the others enter P_0 alone.
+        varying = np.flatnonzero(operator.coefficients[1:].any(axis=0))
+        self._varying_matrices = [operator.problem.matrices[i] for i in varying]
+        self._varying_coefficients = operator.coefficients[1:, varying]
         self.lu = LUFactorization(operator.evaluate(self.sigma))
 
     @property
@@ -230,11 +241,24 @@ class CompanionPencil:
         out[d - 1] = -2.0 * (P[d] @ U[d - 1]) / c
         return out.ravel()
 
+    def _eliminate(self, R):
+        """Rows g_0..g_{d-1} of the block elimination from the first d - 1
+        right-hand-side blocks R (rows of any common length): g_0 = 0,
+        g_1 = R_0 and g_i = R_{i-1} + 2 s g_{i-1} - g_{i-2}."""
+        s = self.sigma / self.c
+        g = np.zeros((self.d,) + R.shape[1:])
+        if self.d > 1:
+            g[1] = R[0]
+        for i in range(2, self.d):
+            g[i] = R[i - 1] + 2.0 * s * g[i - 1] - g[i - 2]
+        return g
+
     def solve(self, r):
         """Solve (K - sigma M) u = r by block elimination.
 
         Costs exactly one triangular solve pair with the stored LU of
-        P(sigma) plus O(d) sparse products.
+        P(sigma) plus O(d) sparse products. Block i of u is
+        taus[i] u_1 + g_i, with u_1 the one n-vector the LU returns.
         """
         d, n = self.d, self.n
         s = self.sigma / self.c
@@ -242,19 +266,45 @@ class CompanionPencil:
         R = self._blocks(r)
         if d == 1:
             return self.lu.solve(R[0])
-        g = np.zeros((d, n))
-        g[1] = R[0]
-        for i in range(2, d):
-            g[i] = R[i - 1] + 2.0 * s * g[i - 1] - g[i - 2]
+        g = self._eliminate(R[:-1])
         acc = np.zeros(n)
         for l in range(d):
             acc += P[l] @ g[l]
         acc += P[d] @ (2.0 * s * g[d - 1] - g[d - 2])
         u1 = self.lu.solve(R[d - 1] - acc)
-        out = np.empty((d, n))
-        for i in range(d):
-            out[i] = self.taus[i] * u1 + g[i]
-        return out.ravel()
+        return (np.outer(self.taus[:d], u1) + g).ravel()
+
+    def solve_compact(self, basis, coefficients):
+        """S v = (K - sigma M)^{-1} M v for v stored compactly: block i of v
+        is basis^T coefficients[:, i], where ``basis`` (m x n) has
+        orthonormal rows and ``coefficients`` is m x d.
+
+        Returns (G, u1), with block i of S v equal to
+        basis^T G[:, i] + taus[i] u1. The recurrence rows of M v and the
+        elimination stay in coefficients; the n-space work is one sparse
+        product per term A_i that varies along the line (P_l = sum_i
+        coefficients[l, i] A_i) and one triangular solve pair.
+        """
+        d, c = self.d, self.c
+        s = self.sigma / c
+        X = coefficients.T                  # block i of v is X[i] @ basis
+        # The LU right-hand side is -sum_{l>=1} P_l basis^T C[l - 1]; the
+        # P_0 term drops out because g_0 = 0.
+        if d == 1:
+            G = np.zeros_like(X)
+            C = X / c
+        else:
+            R = (2.0 / c) * X[:-1]
+            R[0] = X[0] / c
+            G = self._eliminate(R)
+            C = np.empty_like(X)
+            C[:-1] = G[1:]
+            C[-1] = 2.0 * s * G[d - 1] - G[d - 2] + (2.0 / c) * X[d - 1]
+        Y = -(self._varying_coefficients.T @ C) @ basis
+        rhs = np.zeros(self.n)
+        for A, y in zip(self._varying_matrices, Y):
+            rhs += A @ y
+        return G.T, self.lu.solve(rhs)
 
     def stack_rhs(self, b):
         """Right-hand side (0, ..., 0, b) of the linearized system."""

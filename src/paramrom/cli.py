@@ -329,16 +329,17 @@ def _parser():
     p = argparse.ArgumentParser(prog="paramrom", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_config(sp):
+    def add_config(sp, node_plan=True):
         sp.add_argument("--config", help="JSON config file (RunConfig schema)")
         sp.add_argument("--problem", help="preset name; naming another preset "
                         "than the config's drops the config's problem keys")
         sp.add_argument("--grid-n", type=int)
         sp.add_argument("--dt", type=float)
-        sp.add_argument("--kind", choices=["sparse_cross", "full_grid"])
+        if node_plan:
+            sp.add_argument("--kind", choices=["sparse_cross", "full_grid"])
+            sp.add_argument("--sigma", type=float)
         sp.add_argument("--n1", type=int)
         sp.add_argument("--n2", type=int)
-        sp.add_argument("--sigma", type=float)
         sp.add_argument("--tol", type=float)
         sp.add_argument("--k-max", type=int)
         sp.add_argument("--seed", type=int)
@@ -367,8 +368,10 @@ def _parser():
     sp.add_argument("-o", "--out", required=True)
     sp.add_argument("--grid", default="20x20", help="G1xG2 cells")
 
+    # Each zoom run samples a midpoint cross at the default shift, so
+    # estimate takes no --kind or --sigma.
     sp = sub.add_parser("estimate", help="multi-run parameter estimation")
-    add_config(sp)
+    add_config(sp, node_plan=False)
     sp.add_argument("--observed", help="observed solution vector (.f64le)")
     sp.add_argument("--true-mu1", type=float)
     sp.add_argument("--true-mu2", type=float)
@@ -393,13 +396,13 @@ def _config_from_args(args):
         cfg.problem["grid_n"] = args.grid_n
     if args.dt is not None:
         cfg.problem["dt"] = args.dt
-    if args.kind:
+    if getattr(args, "kind", None):
         cfg.nodes["kind"] = args.kind
     if args.n1 is not None:
         cfg.nodes["n1"] = args.n1
     if args.n2 is not None:
         cfg.nodes["n2"] = args.n2
-    if args.sigma is not None:
+    if getattr(args, "sigma", None) is not None:
         cfg.sweep["sigma"] = args.sigma
     if args.tol is not None:
         cfg.sweep["tol"] = args.tol

@@ -107,6 +107,7 @@ class CubicSpline:
             raise ValueError("values length does not match knots")
         self.knots = x
         self.values = y
+        self._lo, self._hi = float(x[0]), float(x[-1])
         k = x.shape[0]
         h = np.diff(x).reshape((k - 1,) + (1,) * (y.ndim - 1))
         slope = np.diff(y, axis=0) / h
@@ -132,7 +133,11 @@ class CubicSpline:
     def __call__(self, x):
         xs = self.knots
         x = np.asarray(x, dtype=np.float64)
-        if not (xs[0] <= x.min() and x.max() <= xs[-1]):
+        if x.ndim == 0:
+            inside = self._lo <= float(x) <= self._hi
+        else:
+            inside = self._lo <= x.min() and x.max() <= self._hi
+        if not inside:
             raise OutOfRangeError(
                 "x=%s outside interpolation range [%g, %g]" % (x, xs[0], xs[-1])
             )

@@ -214,6 +214,14 @@ def test_estimate_rejects_settings_it_ignores(tmp_path, capsys, key, value):
     assert err["type"] == "ValueError" and key in err["error"]
 
 
+@pytest.mark.parametrize("flag, value", [("--sigma", "0.3"), ("--kind", "full_grid")])
+def test_estimate_has_no_node_plan_flags(capsys, flag, value):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["estimate", flag, value, "--true-mu1", "0.3", "--true-mu2", "0.2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_entry_point_help():
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])

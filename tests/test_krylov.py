@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import linear_problem
 from paramrom import linalg
 from paramrom.chebyshev import ChebyshevOperator, CompanionPencil
 from paramrom.errors import NoConvergenceError, SingularShiftError
@@ -106,6 +107,71 @@ class TestArnoldi:
         assert 1.0 - (mu - pen.sigma) * st.hessenberg[0, 0] == 0.0
         with pytest.raises(SingularShiftError) as info:
             st.evaluate(mu)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+class TestCompactBasis:
+    def test_block_basis_orthonormal_and_small(self, advdiff_state):
+        p, pen = advdiff_state
+        st = ShiftedKrylov(pen, p.b)
+        st.grow(20)
+        Q = st.block_basis
+        assert Q.shape[0] == p.n
+        assert Q.shape[1] <= st.k + 2
+        assert np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])) <= 1e-12
+
+    def test_no_full_length_buffer(self, advdiff_state):
+        p, pen = advdiff_state
+        st = ShiftedKrylov(pen, p.b)
+        st.grow(20)
+        for name, value in vars(st).items():
+            assert pen.block_size not in np.shape(value), name
+
+    def test_sim1_deflated_breakdown_matches_direct(self):
+        # sim1's load is an eigenvector of every term, so every block of
+        # every Arnoldi vector is a multiple of it: Q keeps one column and
+        # the recurrence ends in a happy breakdown.
+        p = helmholtz_2d("sim1", 6)
+        assert p.n == 36
+        pen = CompanionPencil(ChebyshevOperator(p, 2, 1.5), default_sigma((1, 2)))
+        st = ShiftedKrylov(pen, p.b)
+        while not st.exhausted and st.k < 60:
+            st.grow(1)
+        assert st.exhausted
+        assert st.block_basis.shape[1] < st.k + 1
+        for mu in np.linspace(1, 2, 7):
+            ref = direct_reference_solve(p, mu, 1.5)
+            assert np.linalg.norm(st.evaluate(mu) - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    def test_degree_one_sweep_matches_direct(self):
+        p = linear_problem()
+        values = np.linspace(0, 1, 5)
+        line = snapshot_sweep(p, 2, 0.5, values)
+        assert line.meta["chebyshev_degree"] == 1
+        assert line.converged.all()
+        for mu, snap in zip(values, line.snapshots):
+            ref = direct_reference_solve(p, mu, 0.5)
+            assert np.linalg.norm(snap - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+class TestBatchedResidual:
+    def test_array_matches_scalar_calls(self, advdiff_state):
+        p, pen = advdiff_state
+        st = ShiftedKrylov(pen, p.b)
+        st.grow(10)
+        values = np.linspace(0, 0.5, 9)
+        batched = st.residual_estimate(values)
+        assert batched.shape == values.shape
+        assert np.array_equal(batched, [st.residual_estimate(mu) for mu in values])
+
+    def test_singular_value_in_array_raises(self, advdiff_state):
+        p, pen = advdiff_state
+        st = ShiftedKrylov(pen, p.b)
+        st.grow(1)
+        mu = pen.sigma + 0.25
+        st.hessenberg[0, 0] = 1.0 / (mu - pen.sigma)
+        with pytest.raises(SingularShiftError, match="0.505") as info:
+            st.residual_estimate(np.array([0.1, mu]))
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
