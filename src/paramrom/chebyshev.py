@@ -35,6 +35,14 @@ def _cheb_coefficients(values):
     return a
 
 
+def chebyshev_values(s, degree):
+    """(T_0(s), ..., T_degree(s)) by the three-term recurrence."""
+    taus = [1.0, s]
+    for _ in range(2, degree + 1):
+        taus.append(2.0 * s * taus[-1] - taus[-2])
+    return np.array(taus[: degree + 1])
+
+
 class ChebyshevSeries:
     """Polynomial sum a_l T_l(x / half_width) evaluated by Clenshaw."""
 
@@ -147,14 +155,13 @@ class ChebyshevOperator:
         return self.problem.n
 
     def evaluate(self, mu):
-        """Assemble P(mu) explicitly (test/oracle use)."""
-        t = mu / self.half_width
-        taus = [1.0, t]
-        for _ in range(2, self.degree + 1):
-            taus.append(2.0 * t * taus[-1] - taus[-2])
+        """Assemble P(mu) = sum_i (tau . coefficients[:, i]) A_i, with
+        tau_l = T_l(mu / half_width): one scaled copy per term matrix A_i,
+        not one per degree."""
+        weights = chebyshev_values(mu / self.half_width, self.degree) @ self.coefficients
         A = None
-        for tau, M in zip(taus[: self.degree + 1], self.matrices):
-            term = M * tau
+        for w, M in zip(weights, self.problem.matrices):
+            term = M * w
             A = term if A is None else A + term
         return sp.csr_matrix(A)
 
@@ -179,12 +186,8 @@ class CompanionPencil:
         self.n = operator.n
         self.d = operator.degree
         self.c = operator.half_width
-        s = self.sigma / self.c
-        taus = [1.0, s]
-        for _ in range(2, self.d + 1):
-            taus.append(2.0 * s * taus[-1] - taus[-2])
         # tau_l = T_l(sigma/c), l = 0..d: recurrence scalars of the solve
-        self.taus = np.array(taus[: self.d + 1])
+        self.taus = chebyshev_values(self.sigma / self.c, self.d)
         # Terms whose coefficient varies along the line, with their T_1..T_d
         # coefficients; the others enter P_0 alone.
         varying = np.flatnonzero(operator.coefficients[1:].any(axis=0))

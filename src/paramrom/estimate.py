@@ -6,6 +6,7 @@ centered at the previous estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,40 +26,54 @@ def add_noise(x, eps, seed=None):
 def _nelder_mead(f, x0, box):
     """Minimize f over the box: reflection/expansion/contraction with every
     vertex clamped to the box; stops after 500 iterations or when the
-    simplex diameter falls below 1e-10 times the box diagonal."""
+    simplex diameter falls below 1e-10 times the box diagonal.
+
+    ``f`` takes a point (p1, p2) of Python floats and returns a float. The
+    vertices are float pairs and all arithmetic is scalar: each iteration
+    costs one to four calls of f and no NumPy call. A start at a corner
+    pushes the initial vertex that clamping would merge with it inward.
+    Returns (point as an ndarray, value)."""
     (a1, b1), (a2, b2) = box
-    diagonal = float(np.hypot(b1 - a1, b2 - a2))
+    a1, b1, a2, b2 = float(a1), float(b1), float(a2), float(b2)
+    diagonal = math.hypot(b1 - a1, b2 - a2)
 
-    def clamp(x):
-        return np.array([min(max(x[0], a1), b1), min(max(x[1], a2), b2)])
+    def clamp(p1, p2):
+        return (min(max(p1, a1), b1), min(max(p2, a2), b2))
 
-    step = np.array([0.05 * (b1 - a1), 0.05 * (b2 - a2)])
-    simplex = [clamp(np.asarray(x0, dtype=np.float64))]
-    simplex.append(clamp(simplex[0] + np.array([step[0], 0.0])))
-    simplex.append(clamp(simplex[0] + np.array([0.0, step[1]])))
+    def toward(p, q, t):
+        # p + t (q - p), clamped: reflection, expansion and contraction
+        return clamp(p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+    def close(p, q):
+        # np.allclose(p, q) with its default tolerances
+        return all(abs(u - v) <= 1e-8 + 1e-5 * abs(v) for u, v in zip(p, q))
+
+    s1, s2 = 0.05 * (b1 - a1), 0.05 * (b2 - a2)
+    x = clamp(float(x0[0]), float(x0[1]))
+    simplex = [x, clamp(x[0] + s1, x[1]), clamp(x[0], x[1] + s2)]
     # Degenerate start (corner): push inward instead.
-    for idx in (1, 2):
-        if np.allclose(simplex[idx], simplex[0]):
-            inward = np.array([-step[0], 0.0]) if idx == 1 else np.array([0.0, -step[1]])
-            simplex[idx] = clamp(simplex[0] + inward)
-    values = [f(x) for x in simplex]
+    if close(simplex[1], x):
+        simplex[1] = clamp(x[0] - s1, x[1])
+    if close(simplex[2], x):
+        simplex[2] = clamp(x[0], x[1] - s2)
+    values = [f(p) for p in simplex]
 
     for _ in range(500):
-        order = np.argsort(values)
+        order = sorted(range(3), key=values.__getitem__)
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        diameter = max(
-            float(np.linalg.norm(simplex[0] - simplex[1])),
-            float(np.linalg.norm(simplex[0] - simplex[2])),
-            float(np.linalg.norm(simplex[1] - simplex[2])),
-        )
+        diameter = max(math.dist(simplex[0], simplex[1]),
+                       math.dist(simplex[0], simplex[2]),
+                       math.dist(simplex[1], simplex[2]))
         if diameter < 1e-10 * diagonal:
             break
-        centroid = 0.5 * (simplex[0] + simplex[1])
-        reflected = clamp(centroid + (centroid - simplex[2]))
+        worst = simplex[2]
+        centroid = (0.5 * (simplex[0][0] + simplex[1][0]),
+                    0.5 * (simplex[0][1] + simplex[1][1]))
+        reflected = toward(centroid, worst, -1.0)
         f_reflected = f(reflected)
         if f_reflected < values[0]:
-            expanded = clamp(centroid + 2.0 * (centroid - simplex[2]))
+            expanded = toward(centroid, worst, -2.0)
             f_expanded = f(expanded)
             if f_expanded < f_reflected:
                 simplex[2], values[2] = expanded, f_expanded
@@ -67,16 +82,16 @@ def _nelder_mead(f, x0, box):
         elif f_reflected < values[1]:
             simplex[2], values[2] = reflected, f_reflected
         else:
-            contracted = clamp(centroid + 0.5 * (simplex[2] - centroid))
+            contracted = toward(centroid, worst, 0.5)
             f_contracted = f(contracted)
             if f_contracted < values[2]:
                 simplex[2], values[2] = contracted, f_contracted
             else:
                 for idx in (1, 2):
-                    simplex[idx] = clamp(simplex[0] + 0.5 * (simplex[idx] - simplex[0]))
+                    simplex[idx] = toward(simplex[0], simplex[idx], 0.5)
                     values[idx] = f(simplex[idx])
-    best = int(np.argmin(values))
-    return simplex[best], float(values[best])
+    best = min(range(3), key=values.__getitem__)
+    return np.array(simplex[best]), float(values[best])
 
 
 def reduced_misfit(interpolated, x_obs):
@@ -85,8 +100,9 @@ def reduced_misfit(interpolated, x_obs):
     With the model's thin QR mode_vectors = QR and z = Q^T x_obs, the misfit
     is sqrt(||z - R w||^2 + c) where c = ||x_obs - Q z||^2 is the part of
     x_obs outside the mode span. c is taken from that residual vector, not
-    as ||x_obs||^2 - ||z||^2, which cancels. ``w`` may hold any number of
-    weight vectors along leading axes, shape (..., r); each costs O(r^2).
+    as ||x_obs||^2 - ||z||^2, which cancels. ``w`` is one weight vector,
+    shape (r,), which gives a float, or holds any number of them along
+    leading axes, shape (..., r), which gives an array; each costs O(r^2).
     """
     q, r = interpolated.q, interpolated.r
     z = q.T @ x_obs
@@ -95,7 +111,10 @@ def reduced_misfit(interpolated, x_obs):
 
     def misfit(w):
         d = z - w @ r.T
-        return np.sqrt(np.einsum("...i,...i->...", d, d) + c)
+        # One reduction for both shapes: d @ d rounds differently and moves
+        # Nelder-Mead's last, noise-level steps.
+        squares = np.einsum("...i,...i->...", d, d) + c
+        return math.sqrt(squares) if d.ndim == 1 else np.sqrt(squares)
 
     return misfit
 
@@ -112,8 +131,11 @@ def estimate_parameters(interpolated, x_obs, coarse=41):
     the thin QR that each model takes once at O(n * rank^2)): O(n * rank)
     to project x_obs, then O(rank^2) per scan point and per Nelder-Mead
     call. The scan is one array operation on the splines of each axis at
-    the grid values. The returned objective is recomputed once in full
-    space at the returned point. No linear system is factored or solved.
+    the grid values. A Nelder-Mead call is ``interpolated.weights`` (two
+    scalar spline calls) and the reduced misfit of one weight vector; the
+    simplex itself is kept in Python floats. The returned objective is
+    recomputed once in full space at the returned point. No linear system
+    is factored or solved.
     """
     x_obs = np.asarray(x_obs, dtype=np.float64)
     (a1, b1), (a2, b2) = interpolated.box
@@ -123,7 +145,7 @@ def estimate_parameters(interpolated, x_obs, coarse=41):
     scan = misfit(interpolated.spline1(grid1)[:, None] * interpolated.spline2(grid2))
     i, j = np.unravel_index(np.argmin(scan), scan.shape)
     start = np.array([grid1[i], grid2[j]])
-    point, value = _nelder_mead(lambda p: float(misfit(interpolated.weights(p[0], p[1]))),
+    point, value = _nelder_mead(lambda p: misfit(interpolated.weights(*p)),
                                 start, interpolated.box)
     if scan[i, j] < value:
         point = start

@@ -9,6 +9,8 @@ columns over shared knots.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -84,16 +86,23 @@ class CubicSpline:
     the shared knots in one pass and evaluated together, which keeps model
     evaluation at O(m) per query. With fewer than 4 knots the spline
     degrades to the interpolating polynomial of matching degree (linear
-    for 2 knots, quadratic for 3). Evaluation outside the knot range
-    raises OutOfRangeError; the parameter domain is a closed box and
-    extrapolation is never meaningful here.
+    for 2 knots, quadratic for 3). Evaluation outside the knot range, or
+    at NaN, raises OutOfRangeError; the parameter domain is a closed box
+    and extrapolation is never meaningful here.
 
-    The fit is stored as a table of cubic coefficients per interval in the
-    local variable t = x - knots[i], plus a zero-width row at the last
-    knot, so every knot returns its stored value exactly. A call is one
-    ``searchsorted`` and a Horner step, for a scalar x (result shaped like
-    one row of ``values``) or a 1-D array of p points (result (p,) or
-    (p, m)).
+    The fit is one table of per-interval rows (a, b, c, d), shaped
+    (k, 4, m): the power-basis coefficients of a + b t + c t^2 + d t^3 in
+    the local variable t = x - knots[i], plus a zero-width row at the last
+    knot, so every knot returns its stored value exactly. A call evaluates
+    the row of x's interval in Horner order, ((d t + c) t + b) t + a:
+    - a scalar x (Python int or float, NumPy float or 0-d array) takes a
+      fast path on Python floats: a range check, ``bisect_right`` on the
+      knot list and the Horner step per column, giving an array shaped
+      like one row of ``values``;
+    - a 1-D array of p points gathers its rows with one ``searchsorted``
+      and makes the same Horner step in NumPy, giving (p,) or (p, m).
+    Both paths round alike, so an array call returns the scalar results
+    bit for bit.
     """
 
     def __init__(self, knots, values):
@@ -107,14 +116,14 @@ class CubicSpline:
             raise ValueError("values length does not match knots")
         self.knots = x
         self.values = y
-        self._lo, self._hi = float(x[0]), float(x[-1])
         k = x.shape[0]
-        h = np.diff(x).reshape((k - 1,) + (1,) * (y.ndim - 1))
-        slope = np.diff(y, axis=0) / h
+        y2 = y.reshape(k, -1)
+        h = np.diff(x)[:, None]
+        slope = np.diff(y2, axis=0) / h
         # Second derivatives at the knots: natural spline for 4+ knots, and
         # below that the interpolating polynomial's constant one (zero for a
         # line), so both fill the same table.
-        M = np.zeros_like(y)
+        M = np.zeros_like(y2)
         if k == 3:
             M[:] = 2.0 * (slope[1] - slope[0]) / (x[2] - x[0])
         elif k >= 4:
@@ -122,26 +131,41 @@ class CubicSpline:
             diag = (h[:-1] + h[1:]) / 3.0
             off = h[1:-1] / 6.0
             M[1:-1] = _thomas_spd(off, diag, off, rhs)
-        b, c, d = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
-        b[:-1] = slope - h * (2.0 * M[:-1] + M[1:]) / 6.0
-        c[:-1] = 0.5 * M[:-1]
-        d[:-1] = (M[1:] - M[:-1]) / (6.0 * h)
-        # Stored with the knot axis last, so that indexing it with an array
-        # of intervals broadcasts against the array of local variables t.
-        self._coefficients = tuple(np.ascontiguousarray(a.T) for a in (y, b, c, d))
+        table = np.zeros((k, 4, y2.shape[1]))
+        table[:, 0] = y2
+        table[:-1, 1] = slope - h * (2.0 * M[:-1] + M[1:]) / 6.0
+        table[:-1, 2] = 0.5 * M[:-1]
+        table[:-1, 3] = (M[1:] - M[:-1]) / (6.0 * h)
+        self._table = table
+        # The scalar path's view of the same table: per interval, one
+        # (a, b, c, d) tuple of Python floats per column.
+        self._knot_list = x.tolist()
+        self._rows = [list(zip(*row)) for row in table.tolist()]
+        self._one_column = y.ndim == 1
+
+    def _out_of_range(self, x):
+        return OutOfRangeError("x=%s outside interpolation range [%g, %g]"
+                               % (x, self.knots[0], self.knots[-1]))
 
     def __call__(self, x):
-        xs = self.knots
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 0:
-            inside = self._lo <= float(x) <= self._hi
-        else:
-            inside = self._lo <= x.min() and x.max() <= self._hi
-        if not inside:
-            raise OutOfRangeError(
-                "x=%s outside interpolation range [%g, %g]" % (x, xs[0], xs[-1])
-            )
-        i = xs.searchsorted(x, side="right") - 1
+        if not isinstance(x, (float, int)):
+            x = np.asarray(x, dtype=np.float64)
+            if x.ndim != 0:
+                return self._call_array(x)
+        x = float(x)
+        xs = self._knot_list
+        if not xs[0] <= x <= xs[-1]:
+            raise self._out_of_range(x)
+        i = bisect_right(xs, x) - 1
         t = x - xs[i]
-        a, b, c, d = self._coefficients
-        return (((d[..., i] * t + c[..., i]) * t + b[..., i]) * t + a[..., i]).T
+        out = np.array([((d * t + c) * t + b) * t + a for a, b, c, d in self._rows[i]])
+        return out[0] if self._one_column else out
+
+    def _call_array(self, x):
+        if not (self.knots[0] <= x.min() and x.max() <= self.knots[-1]):
+            raise self._out_of_range(x)
+        i = self.knots.searchsorted(x, side="right") - 1
+        t = (x - self.knots[i])[:, None]
+        a, b, c, d = self._table[i].transpose(1, 0, 2)
+        out = ((d * t + c) * t + b) * t + a
+        return out[:, 0] if self._one_column else out

@@ -44,7 +44,8 @@ class InterpolatedModel:
         return self.mode_vectors.shape[0]
 
     def weights(self, mu1, mu2):
-        """Per-mode scalar factors F1(mu1) * F2(mu2)."""
+        """Per-mode scalar factors F1(mu1) * F2(mu2): two scalar spline
+        calls, O(rank) work and no n-length array."""
         (a1, b1), (a2, b2) = self.box
         if not (a1 <= mu1 <= b1 and a2 <= mu2 <= b2):
             raise OutOfRangeError(

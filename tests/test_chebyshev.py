@@ -73,6 +73,19 @@ class TestOperator:
                 diff = op.evaluate(mu2) @ v - assemble(p, 1.25, mu2) @ v
                 assert np.abs(diff).max() <= 10 * 1e-13 * scale * np.abs(v).max()
 
+    @pytest.mark.parametrize("problem, axis, value", [
+        (helmholtz_2d("sim3", 5), 1, 0.5), (helmholtz_2d("sim3", 5), 2, 0.5),
+        (advection_diffusion_1d(20, 0.01), 2, 0.25)])
+    def test_evaluate_matches_sum_over_degrees(self, problem, axis, value):
+        # P(mu) from the term matrices equals sum_l T_l(mu/c) P_l.
+        op = ChebyshevOperator(problem, axis, value)
+        lo, hi = problem.box[2 - axis]
+        for mu in np.linspace(lo, hi, 5):
+            taus = npcheb.chebvander([mu / op.half_width], op.degree)[0]
+            by_degree = sum(P * float(t) for t, P in zip(taus, op.matrices)).toarray()
+            P = op.evaluate(mu).toarray()
+            assert np.abs(P - by_degree).max() <= 1e-13 * np.abs(by_degree).max()
+
     def test_entire_coefficients_decay_fast(self):
         p = advection_diffusion_1d(20, 0.01)
         op = ChebyshevOperator(p, 1, 0.25)

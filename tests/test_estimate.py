@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from paramrom import linalg
-from paramrom.estimate import (add_noise, estimate_parameters, reduced_misfit,
-                               refine_estimate)
+from paramrom.estimate import (_nelder_mead, add_noise, estimate_parameters,
+                               reduced_misfit, refine_estimate)
 from paramrom.hopgd import SnapshotTensor, decompose, sparse_cross_nodes
 from paramrom.krylov import snapshot_sweep
 from paramrom.problems import (advection_diffusion_1d, direct_reference_solve,
@@ -45,6 +45,120 @@ class TestNoise:
         x = np.zeros(100000)
         noisy = add_noise(x, 1e-2, seed=0)
         assert np.std(noisy) == pytest.approx(1e-2, rel=0.05)
+
+
+def nelder_mead_numpy(f, x0, box):
+    """The NumPy-array form of _nelder_mead it replaced, kept as the
+    reference for its iterates."""
+    (a1, b1), (a2, b2) = box
+    diagonal = float(np.hypot(b1 - a1, b2 - a2))
+
+    def clamp(x):
+        return np.array([min(max(x[0], a1), b1), min(max(x[1], a2), b2)])
+
+    step = np.array([0.05 * (b1 - a1), 0.05 * (b2 - a2)])
+    simplex = [clamp(np.asarray(x0, dtype=np.float64))]
+    simplex.append(clamp(simplex[0] + np.array([step[0], 0.0])))
+    simplex.append(clamp(simplex[0] + np.array([0.0, step[1]])))
+    for idx in (1, 2):
+        if np.allclose(simplex[idx], simplex[0]):
+            inward = np.array([-step[0], 0.0]) if idx == 1 else np.array([0.0, -step[1]])
+            simplex[idx] = clamp(simplex[0] + inward)
+    values = [f(x) for x in simplex]
+    for _ in range(500):
+        order = np.argsort(values)
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        diameter = max(float(np.linalg.norm(simplex[0] - simplex[1])),
+                       float(np.linalg.norm(simplex[0] - simplex[2])),
+                       float(np.linalg.norm(simplex[1] - simplex[2])))
+        if diameter < 1e-10 * diagonal:
+            break
+        centroid = 0.5 * (simplex[0] + simplex[1])
+        reflected = clamp(centroid + (centroid - simplex[2]))
+        f_reflected = f(reflected)
+        if f_reflected < values[0]:
+            expanded = clamp(centroid + 2.0 * (centroid - simplex[2]))
+            f_expanded = f(expanded)
+            if f_expanded < f_reflected:
+                simplex[2], values[2] = expanded, f_expanded
+            else:
+                simplex[2], values[2] = reflected, f_reflected
+        elif f_reflected < values[1]:
+            simplex[2], values[2] = reflected, f_reflected
+        else:
+            contracted = clamp(centroid + 0.5 * (simplex[2] - centroid))
+            f_contracted = f(contracted)
+            if f_contracted < values[2]:
+                simplex[2], values[2] = contracted, f_contracted
+            else:
+                for idx in (1, 2):
+                    simplex[idx] = clamp(simplex[0] + 0.5 * (simplex[idx] - simplex[0]))
+                    values[idx] = f(simplex[idx])
+    best = int(np.argmin(values))
+    return simplex[best], float(values[best])
+
+
+class TestNelderMead:
+    BOX = ((-1.0, 2.0), (0.5, 1.5))
+
+    @staticmethod
+    def quadratic(center):
+        c1, c2 = center
+        return lambda p: ((p[0] - c1) ** 2 + 3.0 * (p[1] - c2) ** 2
+                          + 0.5 * (p[0] - c1) * (p[1] - c2))
+
+    @pytest.mark.parametrize("corner", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_corner_start_pushes_inward(self, corner):
+        (a1, b1), (a2, b2) = self.BOX
+        start = (self.BOX[0][corner[0]], self.BOX[1][corner[1]])
+        f = self.quadratic((0.3, 1.1))
+        calls = []
+        _nelder_mead(lambda p: calls.append(p) or f(p), np.array(start), self.BOX)
+        # The first three calls are the initial simplex: the start and one
+        # step of 5% of the box width along each axis, into the box.
+        step1 = 0.05 * (b1 - a1) * (1 if corner[0] == 0 else -1)
+        step2 = 0.05 * (b2 - a2) * (1 if corner[1] == 0 else -1)
+        assert calls[0] == start
+        assert calls[1] == pytest.approx((start[0] + step1, start[1]), abs=1e-15)
+        assert calls[2] == pytest.approx((start[0], start[1] + step2), abs=1e-15)
+
+    def test_interior_minimizer(self):
+        point, value = _nelder_mead(self.quadratic((0.3, 1.1)),
+                                    np.array([1.8, 0.6]), self.BOX)
+        assert np.abs(point - [0.3, 1.1]).max() <= 1e-8
+        assert value <= 1e-15
+
+    @pytest.mark.parametrize("center, minimizer", [
+        ((3.0, 1.0), (2.0, 1.0)),       # on an edge
+        ((0.5, 0.0), (0.5, 0.5)),       # on the other axis's edge
+        ((-2.0, 2.0), (-1.0, 1.5))])    # in a corner
+    def test_boundary_minimizer_stays_in_box(self, center, minimizer):
+        (a1, b1), (a2, b2) = self.BOX
+        f = lambda p: (p[0] - center[0]) ** 2 + (p[1] - center[1]) ** 2
+        calls = []
+        point, _ = _nelder_mead(lambda p: calls.append(p) or f(p),
+                                np.array([0.4, 1.0]), self.BOX)
+        assert all(a1 <= p1 <= b1 and a2 <= p2 <= b2 for p1, p2 in calls)
+        assert np.abs(point - minimizer).max() <= 1e-8
+
+    @pytest.mark.parametrize("start", [(0.4, 1.0), (-1.0, 0.5), (2.0, 1.5), (1.9, 0.52)])
+    @pytest.mark.parametrize("center", [(0.3, 1.1), (3.0, 1.0), (-2.0, 2.0)])
+    def test_same_iterates_as_numpy_form(self, start, center):
+        # Rounded objective values make ties, which both forms must order alike.
+        f = self.quadratic(center)
+        calls, reference = [], []
+        point, value = _nelder_mead(
+            lambda p: calls.append(tuple(p)) or round(f(p), 6), start, self.BOX)
+        ref_point, ref_value = nelder_mead_numpy(
+            lambda p: reference.append(tuple(p)) or round(f(p), 6), start, self.BOX)
+        assert calls == reference
+        assert np.array_equal(point, ref_point) and value == ref_value
+
+    def test_returns_array_point_and_float_value(self):
+        point, value = _nelder_mead(self.quadratic((0.3, 1.1)), (0.0, 1.0), self.BOX)
+        assert isinstance(point, np.ndarray) and point.shape == (2,)
+        assert type(value) is float
 
 
 class TestEstimate:
@@ -94,6 +208,16 @@ class TestReducedObjective:
             for j, mu2 in enumerate(grid2):
                 full = np.linalg.norm(x_obs - im(mu1, mu2))
                 assert abs(scan[i, j] - full) <= 1e-10 * full
+
+    def test_single_weight_vector_gives_float(self, advdiff_rom, rng):
+        # Nelder-Mead calls the misfit on one w, the scan on a batch.
+        _, im = advdiff_rom
+        misfit = reduced_misfit(im, rng.standard_normal(im.n))
+        W = rng.standard_normal((50, im.rank))
+        for w, value in zip(W, misfit(W)):
+            single = misfit(w)
+            assert type(single) is float
+            assert abs(single - value) <= 1e-14 * value
 
     def test_no_factorizations_or_solves(self, advdiff, advdiff_rom):
         _, im = advdiff_rom

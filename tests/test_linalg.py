@@ -108,6 +108,31 @@ class TestCubicSpline:
         for x, row in zip(points, out):
             assert np.array_equal(row, s(x))
 
+    @pytest.mark.parametrize("columns", [None, 1, 5])
+    def test_scalar_input_types_agree_bitwise(self, rng, columns):
+        xs = np.linspace(-1.0, 3.0, 9)
+        ys = rng.standard_normal(9 if columns is None else (9, columns))
+        s = CubicSpline(xs, ys)
+        for x in (-1, 0, 2, 3, -0.37, 1.5, 2.999):
+            ref = s(x)
+            assert np.shape(ref) == ys.shape[1:]
+            for same in (float(x), np.float64(x), np.array(x), np.array(float(x))):
+                assert np.array_equal(s(same), ref)
+            assert np.array_equal(s(np.array([x]))[0], ref)
+
+    @pytest.mark.parametrize("bad", [float("nan"), np.nan, np.array(np.nan),
+                                     -1.0000001, 3.0000001, 4, -2,
+                                     float("inf"), -np.inf])
+    def test_scalar_nan_and_out_of_range_raise(self, bad):
+        s = CubicSpline(np.linspace(-1.0, 3.0, 9), np.zeros((9, 2)))
+        with pytest.raises(OutOfRangeError):
+            s(bad)
+
+    def test_array_nan_raises(self):
+        s = CubicSpline(np.linspace(0, 1, 5), np.zeros((5, 2)))
+        with pytest.raises(OutOfRangeError):
+            s(np.array([0.2, np.nan, 0.7]))
+
     def test_array_out_of_range(self):
         s = CubicSpline(np.linspace(0, 1, 5), np.zeros((5, 2)))
         for bad in (np.array([0.5, 1.0001]), np.array([-0.0001, 0.5]),

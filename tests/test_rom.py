@@ -95,6 +95,19 @@ class TestInterpolation:
             assert x.shape == (30,)
             assert np.array_equal(x, model.mode_vectors @ im.weights(mu1, mu2))
 
+    @pytest.mark.parametrize("rank", [1, 5])
+    def test_weights_are_the_spline_product(self, rng, rank):
+        nodes = sparse_cross_nodes(((0, 1), (-1, 2)), 7, 5)
+        model = SeparatedModel(
+            nodes=nodes, mode_vectors=rng.standard_normal((30, rank)),
+            f1=rng.standard_normal((rank, 7)), f2=rng.standard_normal((rank, 5)),
+            converged=True, eps_node=1e-3)
+        im = interpolate_model(model)
+        for mu1, mu2 in [(0.3, 0.7), (1.0, -1.0), (0.0, 2.0), (0.5, 0.25)]:
+            w = im.weights(mu1, mu2)
+            assert w.shape == (rank,)
+            assert np.array_equal(w, im.spline1(mu1) * im.spline2(mu2))
+
     def test_no_solves_online(self, advdiff_model):
         _, _, _, im = advdiff_model
         f0 = linalg.factorization_count()
